@@ -8,16 +8,23 @@
 // more valuable than late ones.
 #include <cstdio>
 
-#include "bbs/core/tradeoff.hpp"
+#include "bbs/api/engine.hpp"
 #include "bbs/gen/generators.hpp"
 
 int main() {
   std::printf("# Figure 2(b): derivative of budget reduction (task graph T1)\n");
   std::printf("# capacity | delta budget vs one fewer container [Mcycles]\n");
 
-  bbs::model::Configuration config = bbs::gen::producer_consumer_t1();
-  const bbs::core::TradeoffSweep sweep =
-      bbs::core::sweep_max_capacity(config, 0, 1, 10);
+  bbs::api::Request request;
+  request.payload =
+      bbs::api::SweepRequest{bbs::gen::producer_consumer_t1(), 0, 1, 10};
+  const bbs::api::Response response = bbs::api::Engine().run(request);
+  if (response.status == bbs::api::ResponseStatus::kError) {
+    std::fprintf(stderr, "sweep failed: %s\n", response.error.c_str());
+    return 1;
+  }
+  const bbs::core::TradeoffSweep& sweep =
+      std::get<bbs::api::SweepPayload>(response.payload).sweep;
 
   for (std::size_t i = 1; i < sweep.points.size(); ++i) {
     const auto& prev = sweep.points[i - 1];

@@ -11,7 +11,7 @@
 #include <chrono>
 #include <cstdio>
 
-#include "bbs/core/tradeoff.hpp"
+#include "bbs/api/engine.hpp"
 #include "bbs/gen/generators.hpp"
 
 int main() {
@@ -24,10 +24,17 @@ int main() {
       "# capacity | beta(wa)=beta(wc) [Mcycles] | beta(wb) [Mcycles] | "
       "solve [ms]\n");
 
-  bbs::model::Configuration config = bbs::gen::three_stage_chain_t2();
+  bbs::api::Request request;
+  request.payload =
+      bbs::api::SweepRequest{bbs::gen::three_stage_chain_t2(), 0, 1, 10};
   const auto t0 = clock::now();
-  const bbs::core::TradeoffSweep sweep =
-      bbs::core::sweep_max_capacity(config, 0, 1, 10);
+  const bbs::api::Response response = bbs::api::Engine().run(request);
+  if (response.status == bbs::api::ResponseStatus::kError) {
+    std::fprintf(stderr, "sweep failed: %s\n", response.error.c_str());
+    return 1;
+  }
+  const bbs::core::TradeoffSweep& sweep =
+      std::get<bbs::api::SweepPayload>(response.payload).sweep;
   const double total_ms =
       std::chrono::duration<double, std::milli>(clock::now() - t0).count();
 

@@ -114,42 +114,53 @@ BENCHMARK(BM_MultiJobPreset)->Unit(benchmark::kMillisecond);
 // --- Cross-solve reuse: sweep-level benchmarks -----------------------------
 //
 // The drivers the paper evaluates solve the same program structure many
-// times. BM_TradeoffSweep / BM_TwoPhase run them through the warm-started
-// SolverSession (program built once, in-place bound updates, one symbolic
-// KKT factorisation, warm starts); the *Rebuild twins are the pre-session
-// baseline — a fresh program build and a cold-started solver per point —
-// kept so the reuse speedup stays measurable.
+// times. BM_TradeoffSweep / BM_TwoPhase run them as engine requests through
+// the warm-started SolverSession (program built once, in-place bound
+// updates, one symbolic KKT factorisation, warm starts), on a fresh engine
+// per iteration so every sweep builds its own session; the *Rebuild twins
+// are the pre-session baseline — a fresh program build and a cold-started
+// solver per point — kept so the reuse speedup stays measurable.
 
 /// Capacity trade-off sweep, caps 1..16 over the first graph of the
 /// multi-job car-entertainment preset: two task graphs contending for the
 /// platform (the paper-intro workload), swept past the saturation point of
 /// the budget/buffer curve — the explorer's realistic range, since where
 /// the curve flattens is exactly what a sweep is run to find. The tiny
-/// T1/T2 sweeps are dominated by the per-point MCR verification both
-/// variants share and understate the reuse effect.
+/// T1/T2 sweeps understate the reuse effect.
 void BM_TradeoffSweep(benchmark::State& state) {
-  bbs::model::Configuration config = bbs::gen::car_entertainment_preset();
+  bbs::api::Request request;
+  request.payload = bbs::api::SweepRequest{
+      bbs::gen::car_entertainment_preset(), 0, 1, 16};
   for (auto _ : state) {
-    const bbs::core::TradeoffSweep sweep =
-        bbs::core::sweep_max_capacity(config, 0, 1, 16);
+    const bbs::api::Response response = bbs::api::Engine().run(request);
+    if (!response.ok()) {
+      state.SkipWithError("sweep failed");
+      break;
+    }
+    const bbs::core::TradeoffSweep& sweep =
+        std::get<bbs::api::SweepPayload>(response.payload).sweep;
     benchmark::DoNotOptimize(sweep.points.back().total_budget_continuous);
     if (!sweep.points.back().feasible) state.SkipWithError("sweep failed");
   }
 }
 BENCHMARK(BM_TradeoffSweep)->Unit(benchmark::kMillisecond);
 
-/// The same sweep with per-point rebuild: what sweep_max_capacity did
-/// before SolverSession existed.
+/// The same sweep with per-point rebuild: what the sweep did before
+/// SolverSession existed. Sweep points are not verified (they report
+/// budgets and capacities only), so neither variant runs the MCR pass.
 void BM_TradeoffSweepRebuild(benchmark::State& state) {
   bbs::model::Configuration config = bbs::gen::car_entertainment_preset();
   bbs::model::TaskGraph& tg = config.mutable_task_graph(0);
+  bbs::core::MappingOptions point_options;
+  point_options.verify = false;
   for (auto _ : state) {
     double last = 0.0;
     for (bbs::linalg::Index cap = 1; cap <= 16; ++cap) {
       for (bbs::linalg::Index b = 0; b < tg.num_buffers(); ++b) {
         tg.set_max_capacity(b, cap);
       }
-      const auto r = bbs::core::compute_budgets_and_buffers(config);
+      const auto r =
+          bbs::core::compute_budgets_and_buffers(config, point_options);
       if (!r.feasible()) state.SkipWithError("solve failed");
       last = r.objective_continuous;
     }
@@ -162,12 +173,20 @@ BENCHMARK(BM_TradeoffSweepRebuild)->Unit(benchmark::kMillisecond);
 /// session: each probe rewrites the period entries and the committed
 /// phase-1 budgets in place.
 void BM_TwoPhase(benchmark::State& state) {
-  const bbs::model::Configuration config = bbs::gen::three_stage_chain_t2();
+  bbs::api::MinPeriodRequest search{bbs::gen::three_stage_chain_t2()};
+  search.period_hi = 40.0;
+  search.rel_tol = 1e-4;
+  search.flow = bbs::api::MinPeriodRequest::Flow::kBudgetFirst;
+  bbs::api::Request request;
+  request.payload = std::move(search);
   for (auto _ : state) {
-    const auto r = bbs::core::minimal_feasible_period_budget_first(
-        config, 0, 40.0, 1e-4);
-    if (!r.has_value()) state.SkipWithError("search failed");
-    benchmark::DoNotOptimize(r->period);
+    const bbs::api::Response response = bbs::api::Engine().run(request);
+    if (!response.ok()) {
+      state.SkipWithError("search failed");
+      break;
+    }
+    benchmark::DoNotOptimize(
+        std::get<bbs::api::MinPeriodPayload>(response.payload).period);
   }
 }
 BENCHMARK(BM_TwoPhase)->Unit(benchmark::kMillisecond);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <optional>
+#include <type_traits>
 
 #include "bbs/common/assert.hpp"
 #include "bbs/core/latency.hpp"
@@ -17,6 +19,52 @@ namespace bbs::api {
 using linalg::Vector;
 
 namespace {
+
+// ---------------------------------------------------------------------------
+// Session options
+// ---------------------------------------------------------------------------
+
+/// The solver options baked into a session (IpmSolver construction): the
+/// one list behind the pool key and both directions of the cache payload.
+/// `visit(name, field)` is called once per field, in key order.
+template <typename Options, typename Visit>
+void visit_baked_options(Options& ipm, Visit&& visit) {
+  visit("max_iterations", ipm.max_iterations);
+  visit("feas_tol", ipm.feas_tol);
+  visit("gap_tol", ipm.gap_tol);
+  visit("stall_iterations", ipm.stall_iterations);
+  visit("step_fraction", ipm.step_fraction);
+  visit("refine_steps", ipm.refine_steps);
+  visit("static_regularisation", ipm.static_regularisation);
+  visit("ordering", ipm.ordering);
+  visit("equilibrate_rounds", ipm.equilibrate_rounds);
+  visit("warm_start", ipm.warm_start);
+  visit("warm_start_margin", ipm.warm_start_margin);
+  visit("recovery_attempts", ipm.recovery_attempts);
+  visit("recovery_regularisation_growth", ipm.recovery_regularisation_growth);
+}
+
+/// The options every pooled session is built with. Sessions never verify
+/// per solve: bisection probes and sweep points are feasibility queries,
+/// and the engine verifies exactly the mappings a response hands back (when
+/// the request asks for verification at all). Per-execution state never
+/// bakes into a session: deadlines, tokens, failpoints and trace sinks are
+/// wildcards of the pool key and are installed on every acquire() via
+/// SolveControl instead.
+core::SessionOptions base_session_options(const solver::SolverOptions& ipm,
+                                          double rounding_eps) {
+  core::SessionOptions options;
+  options.mapping.ipm = ipm;
+  options.mapping.ipm.time_limit_ms = 0.0;
+  options.mapping.ipm.deadline = solver::CancelToken::Clock::time_point::max();
+  options.mapping.ipm.cancel = nullptr;
+  options.mapping.ipm.fail_at_iteration = -1;
+  options.mapping.ipm.fail_only_first_attempt = false;
+  options.mapping.ipm.trace_sink = nullptr;
+  options.mapping.rounding_eps = rounding_eps;
+  options.mapping.verify = false;
+  return options;
+}
 
 // ---------------------------------------------------------------------------
 // Pool keys
@@ -60,13 +108,16 @@ enum class Mode : char {
   kBufferFirst = 'F',
 };
 
-/// `sweep_graph != -1` keys the configuration as the sweep driver mutates
-/// it before building: every buffer of that graph capped (at the swept
-/// bound, which is wildcarded like any rewritable cap). Lets
-/// request_structure_key match the engine's key without copying the
-/// configuration.
+Mode mode_of(const core::BuildOptions& build) {
+  if (build.fixed_budgets) return Mode::kBudgetFirst;
+  if (build.fixed_deltas) return Mode::kBufferFirst;
+  return Mode::kJoint;
+}
+
+/// The key of a session built from `config` in `mode` with the baked
+/// options `ipm` / `rounding_eps`.
 std::string pool_key(const model::Configuration& config, Mode mode,
-                     const RequestOptions& options, Index sweep_graph = -1) {
+                     const solver::SolverOptions& ipm, double rounding_eps) {
   // In fixed-delta programs the caps are not rewritable (no cap rows), so
   // their values stay part of the structure instead of being wildcarded.
   const bool caps_rewritable = mode != Mode::kBufferFirst;
@@ -111,9 +162,7 @@ std::string pool_key(const model::Configuration& config, Mode mode,
       append_index(key, buf.container_size);
       append_index(key, buf.initial_fill);
       append_num(key, buf.size_weight);
-      if (gi == sweep_graph) {
-        key += "c;";  // swept: capped at the (wildcarded) swept bound
-      } else if (buf.max_capacity == -1) {
+      if (buf.max_capacity == -1) {
         key += "u;";  // uncapped: no cap row exists
       } else if (caps_rewritable) {
         key += "c;";  // capped: cap row exists, value re-applied per request
@@ -124,58 +173,272 @@ std::string pool_key(const model::Configuration& config, Mode mode,
     }
   }
 
-  // Solver options are baked into a session (IpmSolver construction and the
-  // rounding tail), so they are part of the key, not wildcards.
-  const solver::SolverOptions& ipm = options.ipm;
   key += "O:";
-  append_index(key, ipm.max_iterations);
-  append_num(key, ipm.feas_tol);
-  append_num(key, ipm.gap_tol);
-  append_index(key, ipm.stall_iterations);
-  append_num(key, ipm.step_fraction);
-  append_index(key, ipm.refine_steps);
-  append_num(key, ipm.static_regularisation);
-  append_index(key, static_cast<linalg::Index>(ipm.ordering));
-  append_index(key, ipm.equilibrate_rounds);
-  key += ipm.warm_start ? '1' : '0';
-  append_num(key, ipm.warm_start_margin);
-  append_index(key, ipm.recovery_attempts);
-  append_num(key, ipm.recovery_regularisation_growth);
-  append_num(key, options.rounding_eps);
+  visit_baked_options(ipm, [&key](const char*, const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, bool>) {
+      key += value ? '1' : '0';
+    } else if constexpr (std::is_same_v<T, double>) {
+      append_num(key, value);
+    } else {  // int fields and the ordering enum
+      append_index(key, static_cast<linalg::Index>(value));
+    }
+  });
+  append_num(key, rounding_eps);
   return key;
 }
 
-/// Re-applies the wildcarded parameters of `config` to a pooled session:
-/// every graph's required period, and — when the session's program carries
-/// cap rows — every finite buffer cap. Brings the session's configuration
-/// into exact agreement with `config` (everything else matched via the
-/// pool key). Fixed phase-1 vectors are re-committed by the per-kind
-/// drivers, which derive them from the request anyway.
-void reapply_parameters(core::SolverSession& session,
-                        const model::Configuration& config,
-                        bool caps_rewritable) {
+// ---------------------------------------------------------------------------
+// Request recipes
+// ---------------------------------------------------------------------------
+//
+// How each request kind prepares its session, in one place: the
+// configuration the session is built from, its build mode, and the phase-1
+// vectors a fixed-budget / fixed-delta build commits. run_checked() acquires
+// its session from the recipe and request_structure_key() keys the same
+// recipe, so the routing key and the pool key cannot drift apart.
+
+struct Recipe {
+  Mode mode = Mode::kJoint;
+  /// The request's configuration, unless the kind adjusts a copy of it.
+  const model::Configuration* request_config = nullptr;
+  std::optional<model::Configuration> adjusted;
+  /// Buffer-first: the capacity the phase-1 token counts are committed at.
+  Index phase1_cap = 1;
+
+  const model::Configuration& config() const {
+    return adjusted ? *adjusted : *request_config;
+  }
+
+  std::string key(const RequestOptions& opts) const {
+    return pool_key(config(), mode, opts.ipm, opts.rounding_eps);
+  }
+
+  /// Session options for this recipe: the base options plus the phase-1
+  /// vectors of a fixed-budget / fixed-delta build.
+  core::SessionOptions session_options(const RequestOptions& opts) const {
+    core::SessionOptions options =
+        base_session_options(opts.ipm, opts.rounding_eps);
+    if (mode == Mode::kBudgetFirst) {
+      options.build.fixed_budgets =
+          core::budget_first_budgets(config(), opts.rounding_eps);
+    } else if (mode == Mode::kBufferFirst) {
+      options.build.fixed_deltas =
+          core::buffer_first_deltas(config(), phase1_cap);
+    }
+    return options;
+  }
+};
+
+bool has_graph(const model::Configuration& config, Index graph) {
+  return graph >= 0 && graph < config.num_task_graphs();
+}
+
+/// Total over malformed requests too — the dispatcher keys requests before
+/// anything validates them. An adjustment whose parameters are out of range
+/// is skipped; run_checked() rejects such requests before acquiring.
+Recipe make_recipe(const Request& request) {
+  Recipe recipe;
+  const model::Configuration& config = request.configuration();
+  recipe.request_config = &config;
+  if (const auto* r = std::get_if<SweepRequest>(&request.payload)) {
+    // The swept graph's buffers are capped at cap_lo so the cap rows exist
+    // in the built program.
+    if (has_graph(config, r->graph) && r->cap_lo >= 1) {
+      model::TaskGraph& tg =
+          recipe.adjusted.emplace(config).mutable_task_graph(r->graph);
+      for (Index b = 0; b < tg.num_buffers(); ++b) {
+        tg.set_max_capacity(b, r->cap_lo);
+      }
+    }
+  } else if (const auto* r = std::get_if<MinPeriodRequest>(&request.payload)) {
+    if (r->flow == MinPeriodRequest::Flow::kBudgetFirst) {
+      // Built with the phase-1 budgets of the probe ceiling.
+      recipe.mode = Mode::kBudgetFirst;
+      if (has_graph(config, r->graph) && r->period_hi > 0.0) {
+        recipe.adjusted.emplace(config)
+            .mutable_task_graph(r->graph)
+            .set_required_period(r->period_hi);
+      }
+    }
+  } else if (const auto* r = std::get_if<TwoPhaseRequest>(&request.payload)) {
+    if (r->mode == TwoPhaseRequest::Mode::kBudgetFirst) {
+      recipe.mode = Mode::kBudgetFirst;
+    } else {
+      recipe.mode = Mode::kBufferFirst;
+      recipe.phase1_cap = r->cap_lo;
+    }
+  }
+  return recipe;
+}
+
+/// Rejects malformed requests before they acquire (and so build) a session.
+void check_request(const Request& request) {
+  const model::Configuration& config = request.configuration();
+  config.validate();
+  if (const auto* r = std::get_if<SweepRequest>(&request.payload)) {
+    BBS_REQUIRE(has_graph(config, r->graph),
+                "SweepRequest: graph index out of range");
+    BBS_REQUIRE(r->cap_lo >= 1 && r->cap_hi >= r->cap_lo,
+                "SweepRequest: need 1 <= cap_lo <= cap_hi");
+  } else if (const auto* r = std::get_if<MinPeriodRequest>(&request.payload)) {
+    BBS_REQUIRE(has_graph(config, r->graph),
+                "MinPeriodRequest: graph index out of range");
+    BBS_REQUIRE(r->period_hi > 0.0,
+                "MinPeriodRequest: period_hi must be positive");
+    BBS_REQUIRE(r->rel_tol > 0.0 && r->rel_tol < 1.0,
+                "MinPeriodRequest: rel_tol must be in (0, 1)");
+  } else if (const auto* r = std::get_if<TwoPhaseRequest>(&request.payload)) {
+    if (r->mode == TwoPhaseRequest::Mode::kBufferFirst) {
+      const Index cap_hi = r->cap_hi == -1 ? r->cap_lo : r->cap_hi;
+      BBS_REQUIRE(r->cap_lo >= 1 && cap_hi >= r->cap_lo,
+                  "TwoPhaseRequest: need 1 <= cap_lo <= cap_hi");
+    }
+  } else if (const auto* r = std::get_if<LatencyRequest>(&request.payload)) {
+    BBS_REQUIRE(r->graph == -1 || has_graph(config, r->graph),
+                "LatencyRequest: graph index out of range");
+  }
+}
+
+/// Brings a pooled session into exact agreement with a request whose key
+/// matched (everything else is equal by construction of the key): every
+/// graph's required period, every finite buffer cap when the program has
+/// cap rows, and the phase-1 vectors of a fixed-budget / fixed-delta build.
+void reparameterise(core::SolverSession& session,
+                    const model::Configuration& config,
+                    const core::BuildOptions& build) {
+  const bool caps_rewritable = mode_of(build) != Mode::kBufferFirst;
   for (Index gi = 0; gi < config.num_task_graphs(); ++gi) {
     const model::TaskGraph& tg = config.task_graph(gi);
+    const auto g = static_cast<std::size_t>(gi);
     session.set_required_period(gi, tg.required_period());
-    if (!caps_rewritable) continue;
-    for (Index b = 0; b < tg.num_buffers(); ++b) {
-      const Index cap = tg.buffer(b).max_capacity;
-      if (cap != -1) session.set_buffer_cap(gi, b, cap);
+    if (caps_rewritable) {
+      for (Index b = 0; b < tg.num_buffers(); ++b) {
+        const Index cap = tg.buffer(b).max_capacity;
+        if (cap != -1) session.set_buffer_cap(gi, b, cap);
+      }
+    }
+    if (build.fixed_budgets) {
+      session.set_fixed_budgets(gi, (*build.fixed_budgets)[g]);
+    }
+    if (build.fixed_deltas) {
+      session.set_fixed_deltas(gi, (*build.fixed_deltas)[g]);
     }
   }
 }
 
-struct WorkspaceSnapshot {
-  int solves = 0;
-  long iterations = 0;
-  int warm_started = 0;
-  int recovered = 0;
-};
+// ---------------------------------------------------------------------------
+// Drive steps
+// ---------------------------------------------------------------------------
+//
+// One per request kind, run on the acquired session. Each fills the response
+// payload and returns whether the answer is feasible.
 
-WorkspaceSnapshot snapshot(const core::SolverSession& session) {
-  const solver::IpmWorkspace& ws = session.workspace();
-  return {ws.solves(), ws.total_iterations(), ws.warm_started_solves(),
-          ws.recovered_solves()};
+bool drive(core::SolverSession& session, const SolveRequest&,
+           const RequestOptions& opts, ResponsePayload& out) {
+  core::MappingResult mapping = session.solve();
+  core::throw_if_interrupted(mapping);
+  if (mapping.status == solver::SolveStatus::kNumericalFailure) {
+    // A lone solve has no bracket to fall back on: a numerical breakdown is
+    // neither a solution nor an infeasibility certificate, so surface it as
+    // a structured hard error instead of claiming "infeasible".
+    throw NumericalError("interior-point solve failed to converge");
+  }
+  if (opts.verify) core::verify_mapping(session.config(), mapping);
+  const bool feasible = mapping.feasible();
+  out = SolvePayload{std::move(mapping)};
+  return feasible;
+}
+
+bool drive(core::SolverSession& session, const SweepRequest& r,
+           const RequestOptions&, ResponsePayload& out) {
+  core::TradeoffSweep sweep =
+      core::sweep_max_capacity(session, r.graph, r.cap_lo, r.cap_hi);
+  const bool any_feasible =
+      std::any_of(sweep.points.begin(), sweep.points.end(),
+                  [](const core::TradeoffPoint& p) { return p.feasible; });
+  out = SweepPayload{std::move(sweep)};
+  return any_feasible;
+}
+
+bool drive(core::SolverSession& session, const MinPeriodRequest& r,
+           const RequestOptions& opts, ResponsePayload& out) {
+  std::optional<core::MinimalPeriodResult> found =
+      r.flow == MinPeriodRequest::Flow::kJoint
+          ? core::minimal_feasible_period(session, r.graph, r.period_hi,
+                                          r.rel_tol, opts.verify)
+          : core::minimal_feasible_period_budget_first(
+                session, r.graph, r.period_hi, r.rel_tol, opts.rounding_eps,
+                opts.verify);
+  MinPeriodPayload payload;
+  payload.found = found.has_value();
+  if (found) {
+    payload.period = found->period;
+    payload.mapping = std::move(found->mapping);
+  }
+  out = std::move(payload);
+  return found.has_value();
+}
+
+bool drive(core::SolverSession& session, const TwoPhaseRequest& r,
+           const RequestOptions& opts, ResponsePayload& out) {
+  TwoPhasePayload payload;
+  if (r.mode == TwoPhaseRequest::Mode::kBudgetFirst) {
+    payload.mappings.push_back(session.solve());
+    core::throw_if_interrupted(payload.mappings.back());
+  } else {
+    const Index cap_hi = r.cap_hi == -1 ? r.cap_lo : r.cap_hi;
+    payload.mappings = core::sweep_buffer_first(session, r.configuration,
+                                                r.cap_lo, cap_hi);
+  }
+  if (opts.verify) {
+    for (core::MappingResult& mapping : payload.mappings) {
+      core::verify_mapping(session.config(), mapping);
+    }
+  }
+  const bool any_feasible =
+      std::any_of(payload.mappings.begin(), payload.mappings.end(),
+                  [](const core::MappingResult& m) { return m.feasible(); });
+  out = std::move(payload);
+  return any_feasible;
+}
+
+bool drive(core::SolverSession& session, const LatencyRequest& r,
+           const RequestOptions& opts, ResponsePayload& out) {
+  LatencyPayload payload;
+  payload.mapping = session.solve();
+  core::throw_if_interrupted(payload.mapping);
+  if (opts.verify) {
+    core::verify_mapping(session.config(), payload.mapping);
+  }
+  if (payload.mapping.feasible()) {
+    const model::Configuration& config = session.config();
+    const Index first = r.graph == -1 ? 0 : r.graph;
+    const Index last =
+        r.graph == -1 ? config.num_task_graphs() - 1 : r.graph;
+    for (Index gi = first; gi <= last; ++gi) {
+      const core::MappedGraph& mg =
+          payload.mapping.graphs[static_cast<std::size_t>(gi)];
+      Vector budgets;
+      std::vector<Index> capacities;
+      for (const core::TaskAllocation& t : mg.tasks) {
+        budgets.push_back(static_cast<double>(t.budget));
+      }
+      for (const core::BufferAllocation& b : mg.buffers) {
+        capacities.push_back(b.capacity);
+      }
+      const std::optional<core::GraphLatency> latency =
+          core::compute_latency_bounds(config, gi, budgets, capacities);
+      LatencyPayload::GraphBound bound;
+      bound.graph = gi;
+      bound.has_pas = latency.has_value();
+      if (latency) bound.latency = *latency;
+      payload.graphs.push_back(std::move(bound));
+    }
+  }
+  const bool feasible = payload.mapping.feasible();
+  out = std::move(payload);
+  return feasible;
 }
 
 // ---------------------------------------------------------------------------
@@ -216,26 +479,17 @@ std::vector<Vector> vectors_from_json(const io::JsonValue& value) {
 
 io::JsonValue session_payload_to_json(const core::SolverSession& session) {
   const core::SessionOptions& options = session.options();
-  const solver::SolverOptions& ipm = options.mapping.ipm;
 
   io::JsonObject ipm_json;
-  ipm_json["max_iterations"] = static_cast<long long>(ipm.max_iterations);
-  ipm_json["feas_tol"] = ipm.feas_tol;
-  ipm_json["gap_tol"] = ipm.gap_tol;
-  ipm_json["stall_iterations"] =
-      static_cast<long long>(ipm.stall_iterations);
-  ipm_json["step_fraction"] = ipm.step_fraction;
-  ipm_json["refine_steps"] = static_cast<long long>(ipm.refine_steps);
-  ipm_json["static_regularisation"] = ipm.static_regularisation;
-  ipm_json["ordering"] = static_cast<long long>(ipm.ordering);
-  ipm_json["equilibrate_rounds"] =
-      static_cast<long long>(ipm.equilibrate_rounds);
-  ipm_json["warm_start"] = ipm.warm_start;
-  ipm_json["warm_start_margin"] = ipm.warm_start_margin;
-  ipm_json["recovery_attempts"] =
-      static_cast<long long>(ipm.recovery_attempts);
-  ipm_json["recovery_regularisation_growth"] =
-      ipm.recovery_regularisation_growth;
+  visit_baked_options(options.mapping.ipm, [&ipm_json](const char* name,
+                                                        const auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    if constexpr (std::is_same_v<T, bool> || std::is_same_v<T, double>) {
+      ipm_json[name] = value;
+    } else {
+      ipm_json[name] = static_cast<long long>(value);
+    }
+  });
 
   io::JsonObject payload;
   payload["configuration"] =
@@ -259,74 +513,34 @@ void session_payload_from_json(const io::JsonValue& payload,
   const io::JsonObject& object = payload.as_object();
   *config = io::configuration_from_json_value(object.at("configuration"));
 
-  // Mirrors the base options run_checked() bakes into every session:
-  // verification off, per-execution wildcards cleared.
-  core::SessionOptions base;
-  base.mapping.verify = false;
-  solver::SolverOptions& ipm = base.mapping.ipm;
+  solver::SolverOptions ipm;
   const io::JsonObject& ipm_json = object.at("ipm").as_object();
-  ipm.max_iterations =
-      static_cast<int>(ipm_json.at("max_iterations").as_number());
-  ipm.feas_tol = ipm_json.at("feas_tol").as_number();
-  ipm.gap_tol = ipm_json.at("gap_tol").as_number();
-  ipm.stall_iterations =
-      static_cast<int>(ipm_json.at("stall_iterations").as_number());
-  ipm.step_fraction = ipm_json.at("step_fraction").as_number();
-  ipm.refine_steps = static_cast<int>(ipm_json.at("refine_steps").as_number());
-  ipm.static_regularisation =
-      ipm_json.at("static_regularisation").as_number();
-  ipm.ordering = static_cast<linalg::OrderingMethod>(
-      static_cast<int>(ipm_json.at("ordering").as_number()));
-  ipm.equilibrate_rounds =
-      static_cast<int>(ipm_json.at("equilibrate_rounds").as_number());
-  ipm.warm_start = ipm_json.at("warm_start").as_bool();
-  ipm.warm_start_margin = ipm_json.at("warm_start_margin").as_number();
-  ipm.recovery_attempts =
-      static_cast<int>(ipm_json.at("recovery_attempts").as_number());
-  ipm.recovery_regularisation_growth =
-      ipm_json.at("recovery_regularisation_growth").as_number();
-  ipm.time_limit_ms = 0.0;
-  ipm.deadline = solver::CancelToken::Clock::time_point::max();
-  ipm.cancel = nullptr;
-  ipm.fail_at_iteration = -1;
-  ipm.fail_only_first_attempt = false;
-  ipm.trace_sink = nullptr;
+  visit_baked_options(ipm, [&ipm_json](const char* name, auto& value) {
+    using T = std::decay_t<decltype(value)>;
+    const io::JsonValue& field = ipm_json.at(name);
+    if constexpr (std::is_same_v<T, bool>) {
+      value = field.as_bool();
+    } else if constexpr (std::is_same_v<T, double>) {
+      value = field.as_number();
+    } else {
+      value = static_cast<T>(static_cast<int>(field.as_number()));
+    }
+  });
 
-  base.mapping.rounding_eps = object.at("rounding_eps").as_number();
+  *options = base_session_options(ipm, object.at("rounding_eps").as_number());
+  core::BuildOptions& build = options->build;
   if (object.contains("fixed_budgets")) {
-    base.build.fixed_budgets = vectors_from_json(object.at("fixed_budgets"));
+    build.fixed_budgets = vectors_from_json(object.at("fixed_budgets"));
   }
   if (object.contains("fixed_deltas")) {
-    base.build.fixed_deltas = vectors_from_json(object.at("fixed_deltas"));
+    build.fixed_deltas = vectors_from_json(object.at("fixed_deltas"));
   }
-  *options = std::move(base);
 }
 
 }  // namespace
 
 std::string request_structure_key(const Request& request) {
-  const RequestOptions& opts = request.options;
-  if (const auto* r = std::get_if<SweepRequest>(&request.payload)) {
-    return pool_key(r->configuration, Mode::kJoint, opts, r->graph);
-  }
-  if (const auto* r = std::get_if<MinPeriodRequest>(&request.payload)) {
-    // Budget-first sessions are keyed at the probe ceiling's configuration,
-    // but periods are wildcards, so the original configuration keys
-    // identically.
-    return pool_key(r->configuration,
-                    r->flow == MinPeriodRequest::Flow::kBudgetFirst
-                        ? Mode::kBudgetFirst
-                        : Mode::kJoint,
-                    opts);
-  }
-  if (const auto* r = std::get_if<TwoPhaseRequest>(&request.payload)) {
-    return pool_key(r->configuration,
-                    r->mode == TwoPhaseRequest::Mode::kBudgetFirst
-                        ? Mode::kBudgetFirst
-                        : Mode::kBufferFirst,
-                    opts);
-  }
-  return pool_key(request.configuration(), Mode::kJoint, opts);
+  return make_recipe(request).key(request.options);
 }
 
 // ---------------------------------------------------------------------------
@@ -357,50 +571,48 @@ void Engine::clear_pool() {
 Engine::PooledSession& Engine::acquire(const std::string& key,
                                        const model::Configuration& config,
                                        core::SessionOptions session_options) {
+  PooledSession* found = nullptr;
   for (auto& pooled : pool_) {
     if (pooled->key == key) {
-      pooled->last_used = ++clock_;
-      pooled->hit = true;
-      ++stats_.pool_hits;
-      last_session_ = pooled.get();
-      return *pooled;
+      found = pooled.get();
+      break;
     }
   }
-  ++stats_.pool_misses;
-  // Miss: make room first so the pool never exceeds its bound. With
-  // pooling disabled (max 0) the fresh session still lives in the pool for
-  // the duration of this request; run() clears it afterwards.
-  if (options_.max_pool_sessions > 0) {
-    while (pool_.size() >= options_.max_pool_sessions) trim_pool();
-  }
-  auto pooled = std::make_unique<PooledSession>(key, config,
-                                               std::move(session_options));
-  pooled->last_used = ++clock_;
-  pooled->hit = false;
-  // A cache entry for this structure (written by a previous process or a
-  // sibling engine) seeds the fresh session's symbolic analysis: the first
-  // solve skips the fill-reducing ordering. Validated downstream; a stale
-  // entry degrades to a full derivation, never an error.
-  if (options_.structure_cache != nullptr) {
-    if (std::optional<telemetry::CacheEntry> entry =
-            options_.structure_cache->lookup(key)) {
-      pooled->session.seed_symbolic(std::move(entry->symbolic));
+  if (found != nullptr) {
+    found->last_used = ++clock_;
+    found->hit = true;
+    ++stats_.pool_hits;
+    reparameterise(found->session, config, session_options.build);
+  } else {
+    ++stats_.pool_misses;
+    // Miss: make room first so the pool never exceeds its bound. With
+    // pooling disabled (max 0) the fresh session still lives in the pool
+    // for the duration of this request; run() clears it afterwards.
+    if (options_.max_pool_sessions > 0) {
+      while (pool_.size() >= options_.max_pool_sessions) trim_pool();
     }
+    auto pooled = std::make_unique<PooledSession>(key, config,
+                                                 std::move(session_options));
+    pooled->last_used = ++clock_;
+    pooled->hit = false;
+    // A cache entry for this structure (written by a previous process or a
+    // sibling engine) seeds the fresh session's symbolic analysis: the
+    // first solve skips the fill-reducing ordering. Validated downstream; a
+    // stale entry degrades to a full derivation, never an error.
+    if (options_.structure_cache != nullptr) {
+      if (std::optional<telemetry::CacheEntry> entry =
+              options_.structure_cache->lookup(key)) {
+        pooled->session.seed_symbolic(std::move(entry->symbolic));
+      }
+    }
+    pool_.push_back(std::move(pooled));
+    found = pool_.back().get();
   }
-  pool_.push_back(std::move(pooled));
-  last_session_ = pool_.back().get();
-  return *pool_.back();
-}
-
-Engine::PooledSession& Engine::acquire_controlled(
-    const std::string& key, const model::Configuration& config,
-    core::SessionOptions session_options) {
-  PooledSession& pooled =
-      acquire(key, config, std::move(session_options));
   // Installed unconditionally — on hits it replaces whatever control the
   // previous request left behind, on misses it arms the fresh session.
-  pooled.session.set_solve_control(control_);
-  return pooled;
+  found->session.set_solve_control(control_);
+  last_session_ = found;
+  return *found;
 }
 
 void Engine::trim_pool() {
@@ -430,7 +642,7 @@ Response Engine::run(const Request& request, Deadline deadline,
   const auto start = std::chrono::steady_clock::now();
   last_session_ = nullptr;
 
-  // Per-execution interruption control, installed on every session this
+  // Per-execution interruption control, installed on the session this
   // request acquires. The caller's deadline (which may predate this call by
   // the request's queue wait) wins over options.deadline_ms-derived ones;
   // per-solve limits and failpoints ride along from the request options.
@@ -532,6 +744,13 @@ bool Engine::prewarm_entry(const telemetry::CacheEntry& entry) {
     core::SessionOptions session_options;
     session_payload_from_json(entry.session, &config, &session_options);
     config.validate();
+    // The payload must rebuild the very session its key names; a payload
+    // that lost or altered a baked-in option would otherwise serve requests
+    // of that key with different solver settings.
+    BBS_REQUIRE(pool_key(config, mode_of(session_options.build),
+                         session_options.mapping.ipm,
+                         session_options.mapping.rounding_eps) == entry.key,
+                "cache entry: session payload does not match its key");
     // Make room exactly like a miss would, then install the session under
     // the entry's stored key with hit=false: the first real request finds
     // it (pool hit, session_reused=true) and its first solve loads the
@@ -565,260 +784,35 @@ std::vector<Response> Engine::run_batch(const std::vector<Request>& requests) {
 }
 
 Response Engine::run_checked(const Request& request) {
-  const RequestOptions& opts = request.options;
-  request.configuration().validate();
-
-  // Sessions never verify per solve: bisection probes and sweep points are
-  // feasibility queries, and the engine verifies exactly the mappings a
-  // response hands back (when the request asks for verification at all).
-  core::SessionOptions base;
-  base.mapping.ipm = opts.ipm;
-  base.mapping.rounding_eps = opts.rounding_eps;
-  base.mapping.verify = false;
-  // Per-execution state never bakes into a session: deadlines, tokens and
-  // failpoints are wildcards of the pool key (requests differing only in
-  // them share sessions) and are (re)installed on every acquire via
-  // SolveControl instead.
-  base.mapping.ipm.time_limit_ms = 0.0;
-  base.mapping.ipm.deadline = solver::CancelToken::Clock::time_point::max();
-  base.mapping.ipm.cancel = nullptr;
-  base.mapping.ipm.fail_at_iteration = -1;
-  base.mapping.ipm.fail_only_first_attempt = false;
-  base.mapping.ipm.trace_sink = nullptr;
+  check_request(request);
+  const Recipe recipe = make_recipe(request);
+  PooledSession& pooled =
+      acquire(recipe.key(request.options), recipe.config(),
+              recipe.session_options(request.options));
+  // Diagnostics report this request's share of the session's counters.
+  const solver::IpmWorkspace& ws = pooled.session.workspace();
+  const int solves = ws.solves();
+  const long iterations = ws.total_iterations();
+  const int warm_started = ws.warm_started_solves();
+  const int recovered = ws.recovered_solves();
 
   Response response;
+  const bool feasible = std::visit(
+      [&](const auto& r) {
+        return drive(pooled.session, r, request.options, response.payload);
+      },
+      request.payload);
+  response.status =
+      feasible ? ResponseStatus::kOk : ResponseStatus::kInfeasible;
+
   Diagnostics& diag = response.diagnostics;
-
-  const auto finish_diag = [&diag](const PooledSession& pooled,
-                                   const WorkspaceSnapshot& before) {
-    const solver::IpmWorkspace& ws = pooled.session.workspace();
-    diag.solves = ws.solves() - before.solves;
-    diag.ipm_iterations = ws.total_iterations() - before.iterations;
-    diag.warm_started_solves = ws.warm_started_solves() - before.warm_started;
-    diag.recovered_solves = ws.recovered_solves() - before.recovered;
-    diag.symbolic_factorisations =
-        ws.kkt() != nullptr ? ws.kkt()->stats().symbolic_factorisations : 0;
-    diag.session_reused = pooled.hit;
-  };
-
-  if (const auto* r = std::get_if<SolveRequest>(&request.payload)) {
-    PooledSession& pooled =
-        acquire_controlled(pool_key(r->configuration, Mode::kJoint, opts),
-                r->configuration, base);
-    if (pooled.hit) {
-      reapply_parameters(pooled.session, r->configuration,
-                         /*caps_rewritable=*/true);
-    }
-    const WorkspaceSnapshot before = snapshot(pooled.session);
-    core::MappingResult mapping = pooled.session.solve();
-    core::throw_if_interrupted(mapping);
-    if (mapping.status == solver::SolveStatus::kNumericalFailure) {
-      // A lone solve has no bracket to fall back on: a numerical breakdown
-      // is neither a solution nor an infeasibility certificate, so surface
-      // it as a structured hard error instead of claiming "infeasible".
-      throw NumericalError("interior-point solve failed to converge");
-    }
-    if (opts.verify) core::verify_mapping(pooled.session.config(), mapping);
-    response.status = mapping.feasible() ? ResponseStatus::kOk
-                                         : ResponseStatus::kInfeasible;
-    response.payload = SolvePayload{std::move(mapping)};
-    finish_diag(pooled, before);
-
-  } else if (const auto* r = std::get_if<SweepRequest>(&request.payload)) {
-    BBS_REQUIRE(r->graph >= 0 &&
-                    r->graph < r->configuration.num_task_graphs(),
-                "SweepRequest: graph index out of range");
-    BBS_REQUIRE(r->cap_lo >= 1 && r->cap_hi >= r->cap_lo,
-                "SweepRequest: need 1 <= cap_lo <= cap_hi");
-    // The swept graph's buffers are capped at cap_lo so the cap rows exist
-    // in the built program, exactly like the free-function driver.
-    model::Configuration session_config = r->configuration;
-    model::TaskGraph& tg = session_config.mutable_task_graph(r->graph);
-    for (Index b = 0; b < tg.num_buffers(); ++b) {
-      tg.set_max_capacity(b, r->cap_lo);
-    }
-    PooledSession& pooled =
-        acquire_controlled(pool_key(session_config, Mode::kJoint, opts), session_config,
-                base);
-    if (pooled.hit) {
-      reapply_parameters(pooled.session, session_config,
-                         /*caps_rewritable=*/true);
-    }
-    const WorkspaceSnapshot before = snapshot(pooled.session);
-    core::TradeoffSweep sweep =
-        core::sweep_max_capacity(pooled.session, r->graph, r->cap_lo,
-                                 r->cap_hi);
-    const bool any_feasible =
-        std::any_of(sweep.points.begin(), sweep.points.end(),
-                    [](const core::TradeoffPoint& p) { return p.feasible; });
-    response.status =
-        any_feasible ? ResponseStatus::kOk : ResponseStatus::kInfeasible;
-    response.payload = SweepPayload{std::move(sweep)};
-    finish_diag(pooled, before);
-
-  } else if (const auto* r = std::get_if<MinPeriodRequest>(&request.payload)) {
-    BBS_REQUIRE(r->graph >= 0 &&
-                    r->graph < r->configuration.num_task_graphs(),
-                "MinPeriodRequest: graph index out of range");
-    std::optional<core::MinimalPeriodResult> found;
-    if (r->flow == MinPeriodRequest::Flow::kJoint) {
-      PooledSession& pooled =
-          acquire_controlled(pool_key(r->configuration, Mode::kJoint, opts),
-                  r->configuration, base);
-      if (pooled.hit) {
-        reapply_parameters(pooled.session, r->configuration,
-                           /*caps_rewritable=*/true);
-      }
-      const WorkspaceSnapshot before = snapshot(pooled.session);
-      found = core::minimal_feasible_period(pooled.session, r->graph,
-                                            r->period_hi, r->rel_tol,
-                                            opts.verify);
-      finish_diag(pooled, before);
-    } else {
-      // Budget-first: the session is built (or re-committed) with the
-      // phase-1 budgets of the probe ceiling, like the free-function
-      // driver.
-      model::Configuration at_hi = r->configuration;
-      at_hi.mutable_task_graph(r->graph).set_required_period(r->period_hi);
-      const std::vector<Vector> budgets =
-          core::budget_first_budgets(at_hi, opts.rounding_eps);
-      core::SessionOptions bf = base;
-      bf.build.fixed_budgets = budgets;
-      PooledSession& pooled = acquire(
-          pool_key(at_hi, Mode::kBudgetFirst, opts), at_hi, std::move(bf));
-      if (pooled.hit) {
-        reapply_parameters(pooled.session, at_hi, /*caps_rewritable=*/true);
-        for (Index gi = 0; gi < at_hi.num_task_graphs(); ++gi) {
-          pooled.session.set_fixed_budgets(
-              gi, budgets[static_cast<std::size_t>(gi)]);
-        }
-      }
-      const WorkspaceSnapshot before = snapshot(pooled.session);
-      found = core::minimal_feasible_period_budget_first(
-          pooled.session, r->graph, r->period_hi, r->rel_tol,
-          opts.rounding_eps, opts.verify);
-      finish_diag(pooled, before);
-    }
-    MinPeriodPayload payload;
-    payload.found = found.has_value();
-    if (found) {
-      payload.period = found->period;
-      payload.mapping = std::move(found->mapping);
-    }
-    response.status = payload.found ? ResponseStatus::kOk
-                                    : ResponseStatus::kInfeasible;
-    response.payload = std::move(payload);
-
-  } else if (const auto* r = std::get_if<TwoPhaseRequest>(&request.payload)) {
-    TwoPhasePayload payload;
-    if (r->mode == TwoPhaseRequest::Mode::kBudgetFirst) {
-      const std::vector<Vector> budgets =
-          core::budget_first_budgets(r->configuration, opts.rounding_eps);
-      core::SessionOptions bf = base;
-      bf.build.fixed_budgets = budgets;
-      PooledSession& pooled =
-          acquire_controlled(pool_key(r->configuration, Mode::kBudgetFirst, opts),
-                  r->configuration, std::move(bf));
-      if (pooled.hit) {
-        reapply_parameters(pooled.session, r->configuration,
-                           /*caps_rewritable=*/true);
-        for (Index gi = 0; gi < r->configuration.num_task_graphs(); ++gi) {
-          pooled.session.set_fixed_budgets(
-              gi, budgets[static_cast<std::size_t>(gi)]);
-        }
-      }
-      const WorkspaceSnapshot before = snapshot(pooled.session);
-      payload.mappings.push_back(pooled.session.solve());
-      core::throw_if_interrupted(payload.mappings.back());
-      if (opts.verify) {
-        core::verify_mapping(pooled.session.config(), payload.mappings.back());
-      }
-      finish_diag(pooled, before);
-    } else {
-      const Index cap_hi = r->cap_hi == -1 ? r->cap_lo : r->cap_hi;
-      BBS_REQUIRE(r->cap_lo >= 1 && cap_hi >= r->cap_lo,
-                  "TwoPhaseRequest: need 1 <= cap_lo <= cap_hi");
-      core::SessionOptions bf = base;
-      bf.build.fixed_deltas =
-          core::buffer_first_deltas(r->configuration, r->cap_lo);
-      PooledSession& pooled =
-          acquire_controlled(pool_key(r->configuration, Mode::kBufferFirst, opts),
-                  r->configuration, std::move(bf));
-      if (pooled.hit) {
-        // Fixed-delta programs have no cap rows; the caps are part of the
-        // pool key instead, so only the periods need re-applying. The sweep
-        // driver re-commits the token counts per capacity.
-        reapply_parameters(pooled.session, r->configuration,
-                           /*caps_rewritable=*/false);
-      }
-      const WorkspaceSnapshot before = snapshot(pooled.session);
-      payload.mappings = core::sweep_buffer_first(pooled.session,
-                                                  r->configuration, r->cap_lo,
-                                                  cap_hi);
-      if (opts.verify) {
-        for (core::MappingResult& mapping : payload.mappings) {
-          core::verify_mapping(pooled.session.config(), mapping);
-        }
-      }
-      finish_diag(pooled, before);
-    }
-    const bool any_feasible =
-        std::any_of(payload.mappings.begin(), payload.mappings.end(),
-                    [](const core::MappingResult& m) { return m.feasible(); });
-    response.status =
-        any_feasible ? ResponseStatus::kOk : ResponseStatus::kInfeasible;
-    response.payload = std::move(payload);
-
-  } else if (const auto* r = std::get_if<LatencyRequest>(&request.payload)) {
-    BBS_REQUIRE(r->graph == -1 ||
-                    (r->graph >= 0 &&
-                     r->graph < r->configuration.num_task_graphs()),
-                "LatencyRequest: graph index out of range");
-    PooledSession& pooled =
-        acquire_controlled(pool_key(r->configuration, Mode::kJoint, opts),
-                r->configuration, base);
-    if (pooled.hit) {
-      reapply_parameters(pooled.session, r->configuration,
-                         /*caps_rewritable=*/true);
-    }
-    const WorkspaceSnapshot before = snapshot(pooled.session);
-    LatencyPayload payload;
-    payload.mapping = pooled.session.solve();
-    core::throw_if_interrupted(payload.mapping);
-    if (opts.verify) {
-      core::verify_mapping(pooled.session.config(), payload.mapping);
-    }
-    if (payload.mapping.feasible()) {
-      const model::Configuration& config = pooled.session.config();
-      const Index first = r->graph == -1 ? 0 : r->graph;
-      const Index last =
-          r->graph == -1 ? config.num_task_graphs() - 1 : r->graph;
-      for (Index gi = first; gi <= last; ++gi) {
-        const core::MappedGraph& mg =
-            payload.mapping.graphs[static_cast<std::size_t>(gi)];
-        Vector budgets;
-        std::vector<Index> capacities;
-        for (const core::TaskAllocation& t : mg.tasks) {
-          budgets.push_back(static_cast<double>(t.budget));
-        }
-        for (const core::BufferAllocation& b : mg.buffers) {
-          capacities.push_back(b.capacity);
-        }
-        const std::optional<core::GraphLatency> latency =
-            core::compute_latency_bounds(config, gi, budgets, capacities);
-        LatencyPayload::GraphBound bound;
-        bound.graph = gi;
-        bound.has_pas = latency.has_value();
-        if (latency) bound.latency = *latency;
-        payload.graphs.push_back(std::move(bound));
-      }
-    }
-    response.status = payload.mapping.feasible() ? ResponseStatus::kOk
-                                                 : ResponseStatus::kInfeasible;
-    response.payload = std::move(payload);
-    finish_diag(pooled, before);
-  }
-
+  diag.solves = ws.solves() - solves;
+  diag.ipm_iterations = ws.total_iterations() - iterations;
+  diag.warm_started_solves = ws.warm_started_solves() - warm_started;
+  diag.recovered_solves = ws.recovered_solves() - recovered;
+  diag.symbolic_factorisations =
+      ws.kkt() != nullptr ? ws.kkt()->stats().symbolic_factorisations : 0;
+  diag.session_reused = pooled.hit;
   return response;
 }
 

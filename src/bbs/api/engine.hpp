@@ -135,14 +135,14 @@ class Engine {
  private:
   struct PooledSession;
 
+  /// The one way a request reaches a session: finds the pooled session
+  /// filed under `key` and re-applies the request's periods, caps and
+  /// phase-1 vectors to it, or builds a fresh one from `session_config` and
+  /// `session_options`. Either way it installs the request's SolveControl
+  /// (deadline / cancel token / injected fault / trace sink).
   PooledSession& acquire(const std::string& key,
                          const model::Configuration& session_config,
                          core::SessionOptions session_options);
-  /// acquire() plus installation of the current request's SolveControl on
-  /// the session (deadline / cancel token / injected fault).
-  PooledSession& acquire_controlled(const std::string& key,
-                                    const model::Configuration& session_config,
-                                    core::SessionOptions session_options);
   void trim_pool();
 
   Response run_checked(const Request& request);
@@ -158,9 +158,9 @@ class Engine {
   /// cleared when the pool is). Used for the post-request cache save.
   PooledSession* last_session_ = nullptr;
   EngineStats stats_;
-  /// Interruption control of the request currently executing; installed on
-  /// every session acquire() so pooled sessions never carry one request's
-  /// deadline or token into the next.
+  /// Interruption control of the request currently executing; acquire()
+  /// installs it, so pooled sessions never carry one request's deadline,
+  /// token or trace sink into the next.
   core::SolveControl control_;
 };
 

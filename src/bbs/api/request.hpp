@@ -7,8 +7,8 @@
 // the full `model::Configuration` it operates on plus its kind-specific
 // options. Requests are plain values: serialisable (see io/api_io.hpp),
 // copyable, and independent of any solver state. `api::Engine` executes
-// them (engine.hpp); the old free-function drivers remain as thin,
-// deprecated-but-stable wrappers around the same core.
+// them (engine.hpp), and it alone knows how each kind prepares its solver
+// session.
 #pragma once
 
 #include <string>
@@ -57,10 +57,10 @@ struct SolveRequest {
   model::Configuration configuration;
 };
 
-/// sweep_max_capacity: common capacity bound of graph `graph` swept over
-/// [cap_lo, cap_hi], one joint solve per step. Buffers of the swept graph
-/// are capped at the swept bound regardless of their configured
-/// max_capacity, exactly like the free-function driver.
+/// Capacity trade-off sweep (core::sweep_max_capacity): common capacity
+/// bound of graph `graph` swept over [cap_lo, cap_hi], one joint solve per
+/// step. Buffers of the swept graph are capped at the swept bound
+/// regardless of their configured max_capacity.
 struct SweepRequest {
   model::Configuration configuration;
   Index graph = 0;
@@ -68,8 +68,9 @@ struct SweepRequest {
   Index cap_hi = 1;
 };
 
-/// minimal_feasible_period(_budget_first): smallest feasible required
-/// period of graph `graph`, by bisection below `period_hi`.
+/// Throughput bisection (core::minimal_feasible_period{,_budget_first}):
+/// smallest feasible required period of graph `graph`, by bisection below
+/// `period_hi`.
 struct MinPeriodRequest {
   enum class Flow { kJoint, kBudgetFirst };
   model::Configuration configuration;
@@ -79,10 +80,10 @@ struct MinPeriodRequest {
   Flow flow = Flow::kJoint;
 };
 
-/// solve_budget_first / solve_buffer_first / sweep_buffer_first: the staged
-/// baselines. Budget-first ignores the capacity fields. Buffer-first fixes
-/// every buffer at min(cap, max_capacity) containers for each cap in
-/// [cap_lo, cap_hi]; with cap_hi == -1 only cap_lo is solved.
+/// The staged two-phase baselines (core/two_phase.hpp). Budget-first
+/// ignores the capacity fields. Buffer-first fixes every buffer at
+/// min(cap, max_capacity) containers for each cap in [cap_lo, cap_hi]; with
+/// cap_hi == -1 only cap_lo is solved.
 struct TwoPhaseRequest {
   enum class Mode { kBudgetFirst, kBufferFirst };
   model::Configuration configuration;

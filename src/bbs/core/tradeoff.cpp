@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "bbs/common/assert.hpp"
-#include "bbs/common/scope_guard.hpp"
 
 namespace bbs::core {
 
@@ -19,42 +18,8 @@ Vector TradeoffSweep::budget_deltas() const {
   return deltas;
 }
 
-TradeoffSweep sweep_max_capacity(model::Configuration& config,
-                                 Index graph_index, Index cap_lo, Index cap_hi,
-                                 const MappingOptions& options,
-                                 const TradeoffPointCallback& on_point) {
-  BBS_REQUIRE(cap_lo >= 1 && cap_hi >= cap_lo,
-              "sweep_max_capacity: need 1 <= cap_lo <= cap_hi");
-  model::TaskGraph& tg = config.mutable_task_graph(graph_index);
-
-  // The caller's caps are mutated only long enough to build the session
-  // program (the cap rows must exist), and restored on *every* exit path —
-  // a solve or callback throwing mid-sweep must not leave the caller's
-  // configuration altered.
-  std::vector<Index> original_caps(static_cast<std::size_t>(tg.num_buffers()));
-  for (Index b = 0; b < tg.num_buffers(); ++b) {
-    original_caps[static_cast<std::size_t>(b)] = tg.buffer(b).max_capacity;
-  }
-  const auto restore_caps = make_scope_guard([&] {
-    for (Index b = 0; b < tg.num_buffers(); ++b) {
-      tg.set_max_capacity(b, original_caps[static_cast<std::size_t>(b)]);
-    }
-  });
-  for (Index b = 0; b < tg.num_buffers(); ++b) {
-    tg.set_max_capacity(b, cap_lo);
-  }
-
-  // One session for the whole sweep: built once, each step rewrites the cap
-  // rows in place and warm-starts from the previous point.
-  SessionOptions session_options;
-  session_options.mapping = options;
-  SolverSession session(config, session_options);
-  return sweep_max_capacity(session, graph_index, cap_lo, cap_hi, on_point);
-}
-
 TradeoffSweep sweep_max_capacity(SolverSession& session, Index graph_index,
-                                 Index cap_lo, Index cap_hi,
-                                 const TradeoffPointCallback& on_point) {
+                                 Index cap_lo, Index cap_hi) {
   BBS_REQUIRE(cap_lo >= 1 && cap_hi >= cap_lo,
               "sweep_max_capacity: need 1 <= cap_lo <= cap_hi");
   TradeoffSweep sweep;
@@ -78,31 +43,9 @@ TradeoffSweep sweep_max_capacity(SolverSession& session, Index graph_index,
         point.capacities.push_back(b.capacity);
       }
     }
-    if (on_point) on_point(point);
     sweep.points.push_back(std::move(point));
   }
   return sweep;
-}
-
-std::optional<MinimalPeriodResult> minimal_feasible_period(
-    model::Configuration& config, Index graph_index, double period_hi,
-    double rel_tol, const MappingOptions& options) {
-  BBS_REQUIRE(period_hi > 0.0,
-              "minimal_feasible_period: period_hi must be positive");
-  BBS_REQUIRE(rel_tol > 0.0 && rel_tol < 1.0,
-              "minimal_feasible_period: rel_tol must be in (0, 1)");
-
-  // The session owns a configuration copy, so the caller's configuration is
-  // never touched; every probe rewrites the period-dependent entries in
-  // place and warm-starts from the last feasible point. Probes are pure
-  // feasibility queries — the MCR verification pass runs once, on the
-  // mapping actually returned.
-  SessionOptions session_options;
-  session_options.mapping = options;
-  session_options.mapping.verify = false;
-  SolverSession session(config, session_options);
-  return minimal_feasible_period(session, graph_index, period_hi, rel_tol,
-                                 options.verify);
 }
 
 std::optional<MinimalPeriodResult> minimal_feasible_period(

@@ -5,13 +5,13 @@
 // (one SOCP per capacity bound) and reports the budget series that Figures
 // 2(a), 2(b) and 3 plot.
 //
-// Both drivers run through a SolverSession: the program is built once, each
-// step rewrites only the changed bound/rhs entries in place, the KKT
-// system's symbolic factorisation is shared by every solve, and each point
-// warm-starts from the previous one (see core/solver_session.hpp).
+// Both drivers run on a caller-provided SolverSession: the program is built
+// once, each step rewrites only the changed bound/rhs entries in place, the
+// KKT system's symbolic factorisation is shared by every solve, and each
+// point warm-starts from the previous one (see core/solver_session.hpp).
+// api::Engine prepares and pools those sessions per request kind.
 #pragma once
 
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -41,28 +41,14 @@ struct TradeoffSweep {
   Vector budget_deltas() const;
 };
 
-/// Called after every solved sweep point (feasible or not): progress
-/// reporting, early logging, or aborting a long sweep by throwing.
-using TradeoffPointCallback = std::function<void(const TradeoffPoint&)>;
-
 /// Sweeps the common maximum capacity of all buffers of graph `graph_index`
 /// from `cap_lo` to `cap_hi` containers and solves the joint problem at each
-/// step through one warm-started SolverSession. The configuration is
-/// restored before returning — also when a solve or the callback throws
-/// mid-sweep (scope guard).
-TradeoffSweep sweep_max_capacity(model::Configuration& config,
-                                 Index graph_index, Index cap_lo, Index cap_hi,
-                                 const MappingOptions& options = {},
-                                 const TradeoffPointCallback& on_point = {});
-
-/// Sweep core on a caller-provided session (api::Engine pools sessions
-/// across requests of one problem structure). Every buffer of the swept
-/// graph must have carried a finite max_capacity when the session was built
-/// (the cap rows must exist). The session's configuration is left at
-/// `cap_hi`; pooled callers re-apply their parameters per request.
+/// step through one warm-started session. Every buffer of the swept graph
+/// must have carried a finite max_capacity when the session was built (the
+/// cap rows must exist). The session's configuration is left at `cap_hi`;
+/// pooled callers re-apply their parameters per request.
 TradeoffSweep sweep_max_capacity(SolverSession& session, Index graph_index,
-                                 Index cap_lo, Index cap_hi,
-                                 const TradeoffPointCallback& on_point = {});
+                                 Index cap_lo, Index cap_hi);
 
 struct MinimalPeriodResult {
   /// Smallest feasible required period of the swept graph, within the
@@ -75,15 +61,8 @@ struct MinimalPeriodResult {
 /// Finds the smallest required period of graph `graph_index` for which the
 /// joint budget/buffer problem is feasible (the platform's maximum
 /// sustainable throughput), by bisection over the SOCP feasibility oracle.
-/// Other graphs keep their current requirements. The configuration is
-/// restored before returning. Returns nullopt when even `period_hi` is
-/// infeasible.
-std::optional<MinimalPeriodResult> minimal_feasible_period(
-    model::Configuration& config, Index graph_index, double period_hi,
-    double rel_tol = 1e-4, const MappingOptions& options = {});
-
-/// Bisection core on a caller-provided session. Probes are pure feasibility
-/// queries, so the session should have been built with
+/// Other graphs keep their current requirements. Probes are pure
+/// feasibility queries, so the session should have been built with
 /// `mapping.verify == false`; when `verify_result` is set the returned
 /// mapping is verified against the session's configuration at the found
 /// period (which the session is left at). Returns nullopt when even

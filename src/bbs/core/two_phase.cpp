@@ -72,20 +72,6 @@ MappingResult solve_buffer_first(const model::Configuration& config,
   return solve_built_program(config, program, options);
 }
 
-std::vector<MappingResult> sweep_buffer_first(
-    const model::Configuration& config, Index cap_lo, Index cap_hi,
-    const MappingOptions& options) {
-  BBS_REQUIRE(cap_lo >= 1 && cap_hi >= cap_lo,
-              "sweep_buffer_first: need 1 <= cap_lo <= cap_hi");
-  config.validate();
-
-  SessionOptions session_options;
-  session_options.mapping = options;
-  session_options.build.fixed_deltas = buffer_first_deltas(config, cap_lo);
-  SolverSession session(config, session_options);
-  return sweep_buffer_first(session, config, cap_lo, cap_hi);
-}
-
 std::vector<MappingResult> sweep_buffer_first(SolverSession& session,
                                               const model::Configuration& config,
                                               Index cap_lo, Index cap_hi) {
@@ -102,35 +88,6 @@ std::vector<MappingResult> sweep_buffer_first(SolverSession& session,
     throw_if_interrupted(results.back());
   }
   return results;
-}
-
-std::optional<MinimalPeriodResult> minimal_feasible_period_budget_first(
-    const model::Configuration& config, Index graph_index, double period_hi,
-    double rel_tol, const MappingOptions& options) {
-  BBS_REQUIRE(period_hi > 0.0,
-              "minimal_feasible_period_budget_first: period_hi must be "
-              "positive");
-  BBS_REQUIRE(rel_tol > 0.0 && rel_tol < 1.0,
-              "minimal_feasible_period_budget_first: rel_tol must be in "
-              "(0, 1)");
-  config.validate();
-
-  // The session is built once with the phase-1 budgets at period_hi; every
-  // probe re-commits the swept graph's budgets for the candidate period and
-  // rewrites the period-dependent entries, all in place.
-  model::Configuration at_hi_config = config;
-  at_hi_config.mutable_task_graph(graph_index).set_required_period(period_hi);
-  SessionOptions session_options;
-  session_options.mapping = options;
-  // Probes are feasibility queries; the returned mapping is verified once
-  // at the end.
-  session_options.mapping.verify = false;
-  session_options.build.fixed_budgets =
-      budget_first_budgets(at_hi_config, options.rounding_eps);
-  SolverSession session(at_hi_config, session_options);
-  return minimal_feasible_period_budget_first(session, graph_index, period_hi,
-                                              rel_tol, options.rounding_eps,
-                                              options.verify);
 }
 
 std::optional<MinimalPeriodResult> minimal_feasible_period_budget_first(

@@ -51,40 +51,28 @@ std::vector<Vector> buffer_first_deltas(const model::Configuration& config,
 
 /// Buffer-first flow across a whole range of default capacities — the
 /// two-phase side of the capacity trade-off sweep — through one warm-started
-/// SolverSession: the pure-LP phase-2 program is built once and only the
-/// fixed token counts change between points. Element i of the result is the
-/// flow at capacity cap_lo + i.
-std::vector<MappingResult> sweep_buffer_first(
-    const model::Configuration& config, Index cap_lo, Index cap_hi,
-    const MappingOptions& options = {});
-
-/// Sweep core on a caller-provided session built with fixed deltas
-/// (api::Engine pools such sessions across requests). `config` is the
-/// configuration the per-capacity token counts are derived from; it must
-/// structurally match the session's.
+/// session built with fixed deltas: the pure-LP phase-2 program is built
+/// once and only the fixed token counts change between points. `config` is
+/// the configuration the per-capacity token counts are derived from; it must
+/// structurally match the session's. Element i of the result is the flow at
+/// capacity cap_lo + i.
 std::vector<MappingResult> sweep_buffer_first(SolverSession& session,
                                               const model::Configuration& config,
                                               Index cap_lo, Index cap_hi);
 
 /// Smallest required period of graph `graph_index` for which the
 /// *budget-first two-phase* flow succeeds, by the same bisection as
-/// minimal_feasible_period but re-committing the phase-1 budgets at every
-/// probe (each probe updates the session's fixed budgets and period in
-/// place). Because the committed budgets move in granularity steps, the
-/// two-phase feasibility set is only approximately upward closed; the
-/// search treats it as monotone, exactly as a staged mapping flow would.
-/// Returns nullopt when even `period_hi` fails. Compared against the joint
-/// flow, the gap between the two minima quantifies the false negatives of
-/// staged mapping (Section I).
-std::optional<MinimalPeriodResult> minimal_feasible_period_budget_first(
-    const model::Configuration& config, Index graph_index, double period_hi,
-    double rel_tol = 1e-4, const MappingOptions& options = {});
-
-/// Bisection core on a caller-provided session built with fixed budgets.
-/// Each probe re-commits the swept graph's phase-1 budgets for the candidate
-/// period in place. The session should probe unverified
+/// minimal_feasible_period, on a session built with fixed budgets. Each
+/// probe re-commits the swept graph's phase-1 budgets for the candidate
+/// period in place. Because the committed budgets move in granularity
+/// steps, the two-phase feasibility set is only approximately upward
+/// closed; the search treats it as monotone, exactly as a staged mapping
+/// flow would. The session should probe unverified
 /// (`mapping.verify == false`); with `verify_result` the returned mapping is
-/// verified at the found period, which the session is left at.
+/// verified at the found period, which the session is left at. Returns
+/// nullopt when even `period_hi` fails. Compared against the joint flow,
+/// the gap between the two minima quantifies the false negatives of staged
+/// mapping (Section I).
 std::optional<MinimalPeriodResult> minimal_feasible_period_budget_first(
     SolverSession& session, Index graph_index, double period_hi,
     double rel_tol, double rounding_eps, bool verify_result);

@@ -1,14 +1,13 @@
 // Service API tests: request/response JSON round-trips, schema negatives,
 // and the Engine's batched, session-pooled execution (results equivalent to
-// the free-function drivers, one symbolic factorisation per pooled problem
-// structure).
+// one-shot solves that share no session code with the engine, one symbolic
+// factorisation per pooled problem structure).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
 #include "bbs/api/engine.hpp"
 #include "bbs/common/assert.hpp"
-#include "bbs/core/tradeoff.hpp"
 #include "bbs/core/two_phase.hpp"
 #include "bbs/io/api_io.hpp"
 #include "bbs/io/config_io.hpp"
@@ -63,6 +62,45 @@ void expect_same_mapping(const MappingResult& a, const MappingResult& b,
                 b.graphs[g].buffers[bu].capacity)
           << context << " graph " << g << " buffer " << bu;
     }
+  }
+}
+
+/// `config` with every buffer of graph `graph` capped at `cap`: the program a
+/// sweep point solves.
+model::Configuration capped(model::Configuration config, Index graph,
+                            Index cap) {
+  model::TaskGraph& tg = config.mutable_task_graph(graph);
+  for (Index b = 0; b < tg.num_buffers(); ++b) tg.set_max_capacity(b, cap);
+  return config;
+}
+
+/// Checks every point of an engine sweep of graph 0 against a one-shot
+/// joint solve of the capped configuration.
+void expect_sweep_matches_one_shot(const core::TradeoffSweep& sweep,
+                                   const model::Configuration& config,
+                                   Index cap_lo, Index cap_hi) {
+  ASSERT_EQ(sweep.points.size(), static_cast<std::size_t>(cap_hi - cap_lo + 1));
+  for (Index cap = cap_lo; cap <= cap_hi; ++cap) {
+    const core::TradeoffPoint& point =
+        sweep.points[static_cast<std::size_t>(cap - cap_lo)];
+    const MappingResult fresh = core::compute_budgets_and_buffers(
+        capped(config, 0, cap), tight_mapping_options());
+    EXPECT_EQ(point.max_capacity, cap);
+    ASSERT_EQ(point.feasible, fresh.feasible()) << "cap " << cap;
+    if (!fresh.feasible()) continue;
+    std::vector<Index> budgets;
+    std::vector<Index> capacities;
+    double total = 0.0;
+    for (const core::TaskAllocation& t : fresh.graphs[0].tasks) {
+      budgets.push_back(t.budget);
+      total += t.budget_continuous;
+    }
+    for (const core::BufferAllocation& b : fresh.graphs[0].buffers) {
+      capacities.push_back(b.capacity);
+    }
+    EXPECT_EQ(point.budgets, budgets) << "cap " << cap;
+    EXPECT_EQ(point.capacities, capacities) << "cap " << cap;
+    BBS_EXPECT_NEAR_REL(point.total_budget_continuous, total, 1e-5);
   }
 }
 
@@ -267,29 +305,15 @@ TEST(ApiEngine, SolveMatchesFreeFunction) {
 }
 
 TEST(ApiEngine, SweepMatchesFreeFunction) {
-  model::Configuration config = testing::paper_t1();
-  const core::TradeoffSweep fresh =
-      core::sweep_max_capacity(config, 0, 1, 6, tight_mapping_options());
-
   Engine engine;
   Request request;
   request.options = tight_options();
-  api::SweepRequest r{testing::paper_t1()};
-  r.graph = 0;
-  r.cap_lo = 1;
-  r.cap_hi = 6;
-  request.payload = std::move(r);
+  request.payload = api::SweepRequest{testing::paper_t1(), 0, 1, 6};
   const Response response = engine.run(request);
   ASSERT_EQ(response.status, ResponseStatus::kOk);
-  const auto& sweep = std::get<api::SweepPayload>(response.payload).sweep;
-  ASSERT_EQ(sweep.points.size(), fresh.points.size());
-  for (std::size_t i = 0; i < fresh.points.size(); ++i) {
-    EXPECT_EQ(sweep.points[i].feasible, fresh.points[i].feasible);
-    EXPECT_EQ(sweep.points[i].budgets, fresh.points[i].budgets);
-    EXPECT_EQ(sweep.points[i].capacities, fresh.points[i].capacities);
-    BBS_EXPECT_NEAR_REL(sweep.points[i].total_budget_continuous,
-                        fresh.points[i].total_budget_continuous, 1e-5);
-  }
+  expect_sweep_matches_one_shot(
+      std::get<api::SweepPayload>(response.payload).sweep, testing::paper_t1(),
+      1, 6);
   EXPECT_EQ(response.diagnostics.solves, 6);
   EXPECT_EQ(response.diagnostics.symbolic_factorisations, 1);
 
@@ -316,19 +340,22 @@ TEST(ApiEngine, MinPeriodMatchesFreeFunctionBothFlows) {
     ASSERT_EQ(response.status, ResponseStatus::kOk);
     const auto& payload = std::get<api::MinPeriodPayload>(response.payload);
     ASSERT_TRUE(payload.found);
-
-    model::Configuration fresh_config = config;
-    const auto fresh =
-        flow == api::MinPeriodRequest::Flow::kJoint
-            ? core::minimal_feasible_period(fresh_config, 0, 40.0, 1e-4,
-                                            tight_mapping_options())
-            : core::minimal_feasible_period_budget_first(
-                  fresh_config, 0, 40.0, 1e-4, tight_mapping_options());
-    ASSERT_TRUE(fresh.has_value());
-    BBS_EXPECT_NEAR_REL(payload.period, fresh->period, 1e-9);
-    expect_same_mapping(payload.mapping, fresh->mapping, "min_period");
+    EXPECT_TRUE(payload.mapping.verified);
+    EXPECT_LE(payload.period, 40.0);
     EXPECT_EQ(response.diagnostics.symbolic_factorisations, 1);
     EXPECT_GT(response.diagnostics.solves, 2);
+
+    // A one-shot solve of the same flow at the returned period is feasible
+    // and verifies there.
+    model::Configuration at_found = config;
+    at_found.mutable_task_graph(0).set_required_period(payload.period);
+    const MappingResult fresh =
+        flow == api::MinPeriodRequest::Flow::kJoint
+            ? core::compute_budgets_and_buffers(at_found,
+                                                tight_mapping_options())
+            : core::solve_budget_first(at_found, tight_mapping_options());
+    EXPECT_TRUE(fresh.feasible());
+    EXPECT_TRUE(fresh.verified);
 
     const std::string text = io::response_to_json(response);
     EXPECT_EQ(io::response_to_json(io::response_from_json(text)), text);
@@ -385,11 +412,12 @@ TEST(ApiEngine, TwoPhaseMatchesFreeFunctions) {
   const Response buff = engine.run(buffer_first);
   ASSERT_EQ(buff.status, ResponseStatus::kOk);
   const auto& sweep_payload = std::get<api::TwoPhasePayload>(buff.payload);
-  const std::vector<MappingResult> fresh =
-      core::sweep_buffer_first(config, 1, 4, tight_mapping_options());
-  ASSERT_EQ(sweep_payload.mappings.size(), fresh.size());
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    expect_same_mapping(sweep_payload.mappings[i], fresh[i], "buffer_first");
+  ASSERT_EQ(sweep_payload.mappings.size(), 4u);
+  for (Index cap = 1; cap <= 4; ++cap) {
+    expect_same_mapping(
+        sweep_payload.mappings[static_cast<std::size_t>(cap - 1)],
+        core::solve_buffer_first(config, cap, tight_mapping_options()),
+        "buffer_first");
   }
   EXPECT_EQ(buff.diagnostics.symbolic_factorisations, 1);
 
@@ -436,15 +464,25 @@ TEST(ApiEngine, ErrorsAreReportedPerRequest) {
   std::vector<Request> batch;
   batch.push_back(std::move(bad));
   batch.push_back(solve_request(testing::paper_t1(), "after-error"));
+  Request bad_tolerance;
+  api::MinPeriodRequest search{testing::paper_t2()};
+  search.period_hi = 40.0;
+  search.rel_tol = 2.0;
+  bad_tolerance.payload = std::move(search);
+  batch.push_back(std::move(bad_tolerance));
 
   const std::vector<Response> responses = engine.run_batch(batch);
-  ASSERT_EQ(responses.size(), 2u);
+  ASSERT_EQ(responses.size(), 3u);
   EXPECT_EQ(responses[0].status, ResponseStatus::kError);
   EXPECT_NE(responses[0].error.find("graph index"), std::string::npos);
   EXPECT_TRUE(std::holds_alternative<std::monostate>(responses[0].payload));
   // The batch keeps going after a failed request.
   EXPECT_EQ(responses[1].status, ResponseStatus::kOk);
   EXPECT_EQ(responses[1].id, "after-error");
+  EXPECT_EQ(responses[2].status, ResponseStatus::kError);
+  EXPECT_NE(responses[2].error.find("rel_tol"), std::string::npos);
+  // Malformed requests are rejected before they build a session.
+  EXPECT_EQ(engine.pooled_sessions(), 1u);
 
   // Error responses round-trip too (payload stays empty).
   const std::string text = io::response_to_json(responses[0]);
@@ -561,7 +599,7 @@ TEST(ApiEngine, PoolEvictionAndDisabledPooling) {
 
 TEST(ApiEngine, SweepRequestPoolsWithEqualStructure) {
   // Two sweeps of the same system (different ranges) share one session;
-  // batch results equal the free-function sweeps point by point.
+  // batch results equal one-shot solves point by point.
   const model::Configuration config = testing::multi_graph_sweep();
 
   std::vector<Request> batch;
@@ -584,16 +622,9 @@ TEST(ApiEngine, SweepRequestPoolsWithEqualStructure) {
   for (std::size_t i = 0; i < batch.size(); ++i) {
     ASSERT_EQ(responses[i].status, ResponseStatus::kOk);
     EXPECT_EQ(responses[i].diagnostics.symbolic_factorisations, 1);
-    model::Configuration fresh_config = config;
-    const core::TradeoffSweep fresh = core::sweep_max_capacity(
-        fresh_config, 0, 1, i == 0 ? 4 : 6, tight_mapping_options());
-    const auto& sweep = std::get<api::SweepPayload>(responses[i].payload).sweep;
-    ASSERT_EQ(sweep.points.size(), fresh.points.size());
-    for (std::size_t k = 0; k < fresh.points.size(); ++k) {
-      EXPECT_EQ(sweep.points[k].feasible, fresh.points[k].feasible);
-      EXPECT_EQ(sweep.points[k].budgets, fresh.points[k].budgets);
-      EXPECT_EQ(sweep.points[k].capacities, fresh.points[k].capacities);
-    }
+    expect_sweep_matches_one_shot(
+        std::get<api::SweepPayload>(responses[i].payload).sweep, config, 1,
+        i == 0 ? 4 : 6);
   }
 }
 

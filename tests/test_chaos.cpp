@@ -17,6 +17,7 @@
 // (ctest -R '^Service...') pick them up.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <future>
 #include <memory>
@@ -179,16 +180,74 @@ TEST(ServiceChaosEngine, CancelTokenInterruptsAndSessionRecovers) {
 }
 
 TEST(ServiceChaosEngine, DeadlineMsOptionIsHonoured) {
+  // Every kind/flow/mode path installs the request's deadline on the
+  // session it acquires, both when it builds the session and when the pool
+  // already holds it.
+  for (Request request : testing::one_request_per_path(testing::paper_t2())) {
+    api::Engine engine;
+    request.options.deadline_ms = 1e-6;  // expires effectively immediately
+    const Response fresh = engine.run(request);
+    EXPECT_EQ(fresh.status, ResponseStatus::kError) << request.id;
+    EXPECT_EQ(fresh.error_code, ErrorCode::kDeadlineExceeded) << request.id;
+
+    request.options.deadline_ms = 0.0;
+    EXPECT_EQ(engine.run(request).status, ResponseStatus::kOk) << request.id;
+
+    request.options.deadline_ms = 1e-6;
+    const Response pooled = engine.run(request);
+    EXPECT_EQ(pooled.error_code, ErrorCode::kDeadlineExceeded) << request.id;
+    EXPECT_EQ(engine.stats().pool_hits, 2u) << request.id;
+  }
+}
+
+/// Counts the IPM events delivered to a request's trace sink.
+struct CountingSink : solver::IpmTraceSink {
+  int events = 0;
+  void ipm_iteration(int, double, double, double, double) override {
+    ++events;
+  }
+  void ipm_ladder_rung(int, double) override { ++events; }
+};
+
+TEST(ServiceChaosEngine, LaterRequestsInheritNoStaleControl) {
+  // A pooled session must not carry one request's deadline or trace sink
+  // into a later request on the same structure, whatever its kind.
+  const std::vector<Request> requests =
+      testing::one_request_per_path(testing::paper_t2());
+  const auto expired = [](api::Engine& engine, const Request& request) {
+    return engine.run(request, Clock::now() - std::chrono::milliseconds(1),
+                      nullptr);
+  };
   api::Engine engine;
-  Request request = solve_request(testing::paper_t1(), "opt-dl");
-  request.options.deadline_ms = 1e-6;  // expires effectively immediately
+  for (const Request& request : requests) {
+    CountingSink sink;
+    Request traced = request;
+    traced.options.ipm.trace_sink = &sink;
+    ASSERT_EQ(engine.run(traced).status, ResponseStatus::kOk) << request.id;
+    const int events = sink.events;
+    EXPECT_GT(events, 0) << request.id;
 
-  const Response response = engine.run(request);
-  EXPECT_EQ(response.status, ResponseStatus::kError);
-  EXPECT_EQ(response.error_code, ErrorCode::kDeadlineExceeded);
+    EXPECT_EQ(expired(engine, request).error_code,
+              ErrorCode::kDeadlineExceeded)
+        << request.id;
 
-  request.options.deadline_ms = 0.0;
-  EXPECT_EQ(engine.run(request).status, ResponseStatus::kOk);
+    const Response plain = engine.run(request);
+    EXPECT_EQ(plain.status, ResponseStatus::kOk) << request.id;
+    EXPECT_TRUE(plain.diagnostics.session_reused) << request.id;
+    EXPECT_EQ(sink.events, events) << request.id << ": stale trace sink";
+  }
+
+  // Across kinds: the budget-first two_phase and min_period requests share
+  // one session, so an expired request of one must not time out the other.
+  const auto by_id = [&requests](const std::string& id) {
+    return *std::find_if(requests.begin(), requests.end(),
+                         [&id](const Request& r) { return r.id == id; });
+  };
+  EXPECT_EQ(expired(engine, by_id("two_phase_budget_first")).error_code,
+            ErrorCode::kDeadlineExceeded);
+  const Response search = engine.run(by_id("min_period_budget_first"));
+  EXPECT_EQ(search.status, ResponseStatus::kOk);
+  EXPECT_TRUE(search.diagnostics.session_reused);
 }
 
 // ---------------------------------------------------------------------------

@@ -5,12 +5,27 @@
 
 #include <cmath>
 
-#include "bbs/core/tradeoff.hpp"
+#include "bbs/api/engine.hpp"
 #include "bbs/gen/generators.hpp"
 #include "testing/support.hpp"
 
 namespace bbs::core {
 namespace {
+
+/// Smallest feasible period of graph 0 below `period_hi`, as a min_period
+/// request answers it.
+api::MinPeriodPayload minimal_period(model::Configuration config,
+                                     double period_hi, double rel_tol) {
+  api::MinPeriodRequest search{std::move(config)};
+  search.period_hi = period_hi;
+  search.rel_tol = rel_tol;
+  api::Request request;
+  request.payload = std::move(search);
+  const api::Response response = api::Engine().run(request);
+  EXPECT_NE(response.status, api::ResponseStatus::kError) << response.error;
+  if (response.status == api::ResponseStatus::kError) return {};
+  return std::get<api::MinPeriodPayload>(response.payload);
+}
 
 TEST(Properties, CostIsNonIncreasingInThePeriod) {
   // Relaxing the throughput requirement can only make the mapping cheaper.
@@ -72,14 +87,12 @@ TEST(Properties, MinimalPeriodMatchesClosedFormOnT1) {
   // at beta = 39: mu* = max(40/39, (2(40-39) + 80/39) / 10).
   model::Configuration config = gen::producer_consumer_t1();
   config.mutable_task_graph(0).set_max_capacity(0, 10);
-  const auto r = minimal_feasible_period(config, 0, 40.0, 1e-5);
-  ASSERT_TRUE(r.has_value());
+  const api::MinPeriodPayload r = minimal_period(config, 40.0, 1e-5);
+  ASSERT_TRUE(r.found);
   const double expect =
       std::max(40.0 / 39.0, (2.0 * 1.0 + 2.0 * 40.0 / 39.0) / 10.0);
-  EXPECT_NEAR(r->period, expect, 2e-3 * expect);
-  EXPECT_TRUE(r->mapping.feasible());
-  // The configuration is restored.
-  EXPECT_DOUBLE_EQ(config.task_graph(0).required_period(), 10.0);
+  EXPECT_NEAR(r.period, expect, 2e-3 * expect);
+  EXPECT_TRUE(r.mapping.feasible());
 }
 
 TEST(Properties, MinimalPeriodInfeasibleCeilingReported) {
@@ -91,7 +104,7 @@ TEST(Properties, MinimalPeriodInfeasibleCeilingReported) {
   model::TaskGraph tg("solo", 1.0);
   tg.add_task("t", p, 30.0);  // best period: 40*30/39 = 30.77 > ceiling 20
   config.add_task_graph(std::move(tg));
-  EXPECT_FALSE(minimal_feasible_period(config, 0, 20.0).has_value());
+  EXPECT_FALSE(minimal_period(config, 20.0, 1e-4).found);
 }
 
 TEST(Properties, MinimalPeriodTighterWithMoreBuffers) {
@@ -101,13 +114,13 @@ TEST(Properties, MinimalPeriodTighterWithMoreBuffers) {
   // -> the self-loop bound 40/39 dominates. Check the ordering holds.
   model::Configuration config = gen::producer_consumer_t1();
   config.mutable_task_graph(0).set_max_capacity(0, 1);
-  const auto tight = minimal_feasible_period(config, 0, 40.0, 1e-5);
+  const api::MinPeriodPayload tight = minimal_period(config, 40.0, 1e-5);
   config.mutable_task_graph(0).set_max_capacity(0, 10);
-  const auto loose = minimal_feasible_period(config, 0, 40.0, 1e-5);
-  ASSERT_TRUE(tight.has_value());
-  ASSERT_TRUE(loose.has_value());
-  EXPECT_GT(tight->period, loose->period);
-  EXPECT_NEAR(tight->period, 2.0 * 1.0 + 2.0 * 40.0 / 39.0, 2e-2);
+  const api::MinPeriodPayload loose = minimal_period(config, 40.0, 1e-5);
+  ASSERT_TRUE(tight.found);
+  ASSERT_TRUE(loose.found);
+  EXPECT_GT(tight.period, loose.period);
+  EXPECT_NEAR(tight.period, 2.0 * 1.0 + 2.0 * 40.0 / 39.0, 2e-2);
 }
 
 TEST(Properties, TaskOrderInvariance) {

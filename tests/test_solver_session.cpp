@@ -4,12 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "bbs/common/assert.hpp"
 #include "bbs/core/refinement.hpp"
 #include "bbs/core/solver_session.hpp"
+#include "bbs/core/tradeoff.hpp"
 #include "bbs/core/two_phase.hpp"
 #include "testing/support.hpp"
 
@@ -26,6 +28,30 @@ MappingOptions tight_options() {
   options.ipm.feas_tol = 1e-7;
   options.ipm.gap_tol = 1e-7;
   return options;
+}
+
+/// Joint throughput bisection on a fresh session: probes unverified, the
+/// returned mapping verified.
+std::optional<MinimalPeriodResult> joint_period_search(
+    const model::Configuration& config, double period_hi) {
+  SessionOptions options;
+  options.mapping.verify = false;
+  SolverSession session(config, options);
+  return minimal_feasible_period(session, 0, period_hi, 1e-4, true);
+}
+
+/// Budget-first throughput bisection on a fresh session built with the
+/// phase-1 budgets of the probe ceiling.
+std::optional<MinimalPeriodResult> budget_first_period_search(
+    const model::Configuration& config, double period_hi) {
+  model::Configuration at_hi = config;
+  at_hi.mutable_task_graph(0).set_required_period(period_hi);
+  SessionOptions options;
+  options.mapping.verify = false;
+  options.build.fixed_budgets = budget_first_budgets(at_hi);
+  SolverSession session(at_hi, options);
+  return minimal_feasible_period_budget_first(session, 0, period_hi, 1e-4,
+                                              1e-7, true);
 }
 
 void expect_same_mapping(const MappingResult& session_result,
@@ -140,8 +166,12 @@ TEST(SolverSession, WarmStartsDoNotIncreaseTotalIterations) {
 
 TEST(SolverSession, FixedDeltaSessionMatchesBufferFirst) {
   const model::Configuration config = testing::multi_graph_sweep();
+  SessionOptions options;
+  options.mapping = tight_options();
+  options.build.fixed_deltas = buffer_first_deltas(config, 1);
+  SolverSession session(config, options);
   const std::vector<MappingResult> swept =
-      sweep_buffer_first(config, 1, 6, tight_options());
+      sweep_buffer_first(session, config, 1, 6);
   ASSERT_EQ(swept.size(), 6u);
   for (Index cap = 1; cap <= 6; ++cap) {
     const MappingResult fresh =
@@ -153,8 +183,7 @@ TEST(SolverSession, FixedDeltaSessionMatchesBufferFirst) {
 
 TEST(SolverSession, BudgetFirstPeriodSearchIsConsistent) {
   const model::Configuration config = testing::multi_graph_sweep();
-  const auto two_phase =
-      minimal_feasible_period_budget_first(config, 0, 14.0, 1e-4);
+  const auto two_phase = budget_first_period_search(config, 14.0);
   ASSERT_TRUE(two_phase.has_value());
   EXPECT_TRUE(two_phase->mapping.feasible());
   EXPECT_LE(two_phase->period, 14.0);
@@ -166,8 +195,7 @@ TEST(SolverSession, BudgetFirstPeriodSearchIsConsistent) {
   EXPECT_TRUE(solve_budget_first(at_found).feasible());
 
   // Committing phase-1 budgets can never beat the joint flow.
-  model::Configuration joint_config = config;
-  const auto joint = minimal_feasible_period(joint_config, 0, 14.0, 1e-4);
+  const auto joint = joint_period_search(config, 14.0);
   ASSERT_TRUE(joint.has_value());
   EXPECT_GE(two_phase->period, joint->period - 1e-6);
 }
@@ -176,15 +204,15 @@ TEST(SolverSession, PeriodSearchesReturnVerifiedMappings) {
   // The searches probe with verification disabled (a probe is only a
   // feasibility query), so the mapping they hand back must carry the full
   // verification pass run at the found period.
-  model::Configuration config = testing::multi_graph_sweep();
-  const auto joint = minimal_feasible_period(config, 0, 14.0, 1e-4);
+  const model::Configuration config = testing::multi_graph_sweep();
+  const auto joint = joint_period_search(config, 14.0);
   ASSERT_TRUE(joint.has_value());
   EXPECT_TRUE(joint->mapping.verified);
   for (const MappedGraph& mg : joint->mapping.graphs) {
     EXPECT_TRUE(mg.verification.throughput_met);
     EXPECT_GT(mg.verification.mcr, 0.0);
   }
-  const auto staged = minimal_feasible_period_budget_first(config, 0, 14.0);
+  const auto staged = budget_first_period_search(config, 14.0);
   ASSERT_TRUE(staged.has_value());
   EXPECT_TRUE(staged->mapping.verified);
 }

@@ -16,9 +16,11 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bbs/api/engine.hpp"
@@ -394,6 +396,111 @@ TEST(TelemetryCache, EngineRoundTripWarmRestartSkipsSymbolicWork) {
   EXPECT_NEAR(
       std::get<api::SolvePayload>(warm.payload).mapping.objective_rounded,
       cold_objective, 1e-9);
+}
+
+TEST(TelemetryCache, EveryBakedOptionIsKeyedAndSurvivesThePayload) {
+  // Each solver option baked into a session must (a) change the structure
+  // key and (b) survive the cache payload: prewarm_entry rebuilds the
+  // session from the payload and rejects it unless it keys back to the
+  // entry's key, so a field lost on either side of the round trip fails
+  // the prewarm below.
+  using Mutation = void (*)(api::RequestOptions&);
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"max_iterations", [](auto& o) { o.ipm.max_iterations = 101; }},
+      {"feas_tol", [](auto& o) { o.ipm.feas_tol = 2e-6; }},
+      {"gap_tol", [](auto& o) { o.ipm.gap_tol = 2e-6; }},
+      {"stall_iterations", [](auto& o) { o.ipm.stall_iterations = 16; }},
+      {"step_fraction", [](auto& o) { o.ipm.step_fraction = 0.98; }},
+      {"refine_steps", [](auto& o) { o.ipm.refine_steps = 2; }},
+      {"static_regularisation",
+       [](auto& o) { o.ipm.static_regularisation = 2e-12; }},
+      {"ordering",
+       [](auto& o) {
+         o.ipm.ordering = linalg::OrderingMethod::kReverseCuthillMcKee;
+       }},
+      {"equilibrate_rounds", [](auto& o) { o.ipm.equilibrate_rounds = 2; }},
+      {"warm_start", [](auto& o) { o.ipm.warm_start = false; }},
+      {"warm_start_margin", [](auto& o) { o.ipm.warm_start_margin = 0.2; }},
+      {"recovery_attempts", [](auto& o) { o.ipm.recovery_attempts = 1; }},
+      {"recovery_regularisation_growth",
+       [](auto& o) { o.ipm.recovery_regularisation_growth = 1e3; }},
+      {"rounding_eps", [](auto& o) { o.rounding_eps = 1e-6; }},
+  };
+  std::vector<Request> requests = {solve_request(testing::paper_t1(), "base")};
+  for (const auto& [name, mutate] : mutations) {
+    Request request = solve_request(testing::paper_t1(), name);
+    mutate(request.options);
+    requests.push_back(std::move(request));
+  }
+  std::set<std::string> keys;
+  for (const Request& request : requests) {
+    EXPECT_TRUE(keys.insert(api::request_structure_key(request)).second)
+        << request.id << " does not change the structure key";
+  }
+
+  ScopedTempDir dir;
+  {
+    StructureCache cache(dir.path);
+    EngineOptions options;
+    options.structure_cache = &cache;
+    Engine engine(options);
+    for (const Request& request : requests) {
+      ASSERT_NE(engine.run(request).status, ResponseStatus::kError)
+          << request.id;
+    }
+    cache.flush();
+  }
+  StructureCache cache(dir.path);
+  ASSERT_EQ(cache.load(), requests.size());
+  EngineOptions options;
+  options.structure_cache = &cache;
+  options.max_pool_sessions = requests.size();
+  Engine engine(options);
+  for (const CacheEntry& entry : cache.entries()) {
+    EXPECT_TRUE(engine.prewarm_entry(entry));
+  }
+  EXPECT_EQ(cache.stats().prewarm_errors, 0u);
+  for (const Request& request : requests) {
+    const Response warm = engine.run(request);
+    EXPECT_TRUE(warm.diagnostics.session_reused) << request.id;
+    EXPECT_EQ(warm.diagnostics.symbolic_factorisations, 0) << request.id;
+  }
+}
+
+TEST(TelemetryCache, PrewarmRejectsAPayloadThatDoesNotMatchItsKey) {
+  ScopedTempDir dir;
+  StructureCache cache(dir.path);
+  EngineOptions options;
+  options.structure_cache = &cache;
+  Engine engine(options);
+  ASSERT_EQ(engine.run(solve_request(testing::paper_t1())).status,
+            ResponseStatus::kOk);
+  CacheEntry entry = cache.entries().at(0);
+  entry.session.as_object()["rounding_eps"] = io::JsonValue(1e-3);
+
+  Engine fresh(options);
+  EXPECT_FALSE(fresh.prewarm_entry(entry));
+  EXPECT_EQ(fresh.pooled_sessions(), 0u);
+  EXPECT_EQ(cache.stats().prewarm_errors, 1u);
+}
+
+TEST(TelemetryCache, EngineFilesEveryPathUnderItsStructureKey) {
+  // The dispatcher routes by request_structure_key and relies on it being
+  // the key the engine files the session under; the cache entry the engine
+  // writes for each path's fresh session exposes that key.
+  for (const Request& request :
+       testing::one_request_per_path(testing::paper_t2())) {
+    ScopedTempDir dir;
+    StructureCache cache(dir.path);
+    EngineOptions options;
+    options.structure_cache = &cache;
+    Engine engine(options);
+    ASSERT_EQ(engine.run(request).status, ResponseStatus::kOk) << request.id;
+    const std::vector<CacheEntry> entries = cache.entries();
+    ASSERT_EQ(entries.size(), 1u) << request.id;
+    EXPECT_EQ(entries[0].key, api::request_structure_key(request))
+        << request.id;
+  }
 }
 
 TEST(TelemetryCache, ColdMissWithCacheSeedsTheSymbolicAnalysis) {

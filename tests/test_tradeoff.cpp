@@ -1,9 +1,11 @@
 // Tests for the budget/buffer trade-off sweep (the machinery behind Figures
-// 2(a), 2(b) and 3 of the paper).
+// 2(a), 2(b) and 3 of the paper), served as api::Engine sweep requests.
 #include <gtest/gtest.h>
 
-#include <stdexcept>
+#include <string>
+#include <utility>
 
+#include "bbs/api/engine.hpp"
 #include "bbs/common/assert.hpp"
 #include "bbs/core/tradeoff.hpp"
 #include "bbs/gen/generators.hpp"
@@ -12,9 +14,26 @@
 namespace bbs::core {
 namespace {
 
+api::Request sweep_request(model::Configuration config, Index cap_lo,
+                           Index cap_hi) {
+  api::Request request;
+  request.payload = api::SweepRequest{std::move(config), 0, cap_lo, cap_hi};
+  return request;
+}
+
+/// Sweeps the common capacity bound of graph 0 over [cap_lo, cap_hi]
+/// through a fresh engine.
+TradeoffSweep engine_sweep(model::Configuration config, Index cap_lo,
+                           Index cap_hi) {
+  const api::Response response =
+      api::Engine().run(sweep_request(std::move(config), cap_lo, cap_hi));
+  EXPECT_NE(response.status, api::ResponseStatus::kError) << response.error;
+  if (response.status == api::ResponseStatus::kError) return {};
+  return std::get<api::SweepPayload>(response.payload).sweep;
+}
+
 TEST(Tradeoff, T1SweepIsMonotoneDecreasingAndConvex) {
-  model::Configuration config = gen::producer_consumer_t1();
-  const TradeoffSweep sweep = sweep_max_capacity(config, 0, 1, 10);
+  const TradeoffSweep sweep = engine_sweep(gen::producer_consumer_t1(), 1, 10);
   ASSERT_EQ(sweep.points.size(), 10u);
   for (const TradeoffPoint& p : sweep.points) {
     ASSERT_TRUE(p.feasible) << "capacity " << p.max_capacity;
@@ -35,42 +54,20 @@ TEST(Tradeoff, T1SweepIsMonotoneDecreasingAndConvex) {
   EXPECT_LT(deltas.back(), 1.0);   // ~0.30 for the 10th
 }
 
-TEST(Tradeoff, SweepRestoresOriginalCaps) {
-  model::Configuration config = gen::producer_consumer_t1();
-  config.mutable_task_graph(0).set_max_capacity(0, 7);
-  sweep_max_capacity(config, 0, 1, 3);
-  EXPECT_EQ(config.task_graph(0).buffer(0).max_capacity, 7);
-}
-
-TEST(Tradeoff, SweepRestoresCapsWhenThrowingMidSweep) {
-  // A throw from inside the sweep loop (here: the per-point callback, the
-  // supported way to abort a long sweep) must not leave the caller's
-  // configuration with sweep-mutated caps.
-  model::Configuration config = gen::producer_consumer_t1();
-  config.mutable_task_graph(0).set_max_capacity(0, 7);
-  int points_seen = 0;
-  const auto abort_at_second_point = [&](const TradeoffPoint& point) {
-    EXPECT_TRUE(point.feasible);
-    if (++points_seen == 2) throw std::runtime_error("abort sweep");
-  };
-  EXPECT_THROW(
-      sweep_max_capacity(config, 0, 1, 10, {}, abort_at_second_point),
-      std::runtime_error);
-  EXPECT_EQ(points_seen, 2);
-  EXPECT_EQ(config.task_graph(0).buffer(0).max_capacity, 7);
-}
-
-TEST(Tradeoff, SweepSharesOneSymbolicFactorisationViaCallback) {
-  // The sweep must not rebuild solver state between points: consecutive
-  // feasible points arrive strictly ordered, one per capacity.
-  model::Configuration config = gen::producer_consumer_t1();
-  Index expected_cap = 1;
-  const TradeoffSweep sweep = sweep_max_capacity(
-      config, 0, 1, 6, {}, [&](const TradeoffPoint& point) {
-        EXPECT_EQ(point.max_capacity, expected_cap++);
-      });
-  EXPECT_EQ(expected_cap, 7);
-  EXPECT_EQ(sweep.points.size(), 6u);
+TEST(Tradeoff, SweepSharesOneSymbolicFactorisation) {
+  // The sweep must not rebuild solver state between points: one session
+  // solves every point, in capacity order.
+  const api::Response response =
+      api::Engine().run(sweep_request(gen::producer_consumer_t1(), 1, 6));
+  ASSERT_EQ(response.status, api::ResponseStatus::kOk) << response.error;
+  const TradeoffSweep& sweep =
+      std::get<api::SweepPayload>(response.payload).sweep;
+  ASSERT_EQ(sweep.points.size(), 6u);
+  for (std::size_t i = 0; i < sweep.points.size(); ++i) {
+    EXPECT_EQ(sweep.points[i].max_capacity, static_cast<Index>(i) + 1);
+  }
+  EXPECT_EQ(response.diagnostics.solves, 6);
+  EXPECT_EQ(response.diagnostics.symbolic_factorisations, 1);
 }
 
 TEST(Tradeoff, InfeasiblePointsMarked) {
@@ -79,9 +76,8 @@ TEST(Tradeoff, InfeasiblePointsMarked) {
   testing::TwoTaskOptions opts;
   opts.required_period = 2.2;
   opts.size_weight = 1e-3;
-  model::Configuration config = testing::two_task_chain(opts);
-
-  const TradeoffSweep sweep = sweep_max_capacity(config, 0, 1, 40);
+  const TradeoffSweep sweep =
+      engine_sweep(testing::two_task_chain(opts), 1, 40);
   ASSERT_EQ(sweep.points.size(), 40u);
   EXPECT_FALSE(sweep.points.front().feasible);
   EXPECT_TRUE(sweep.points.back().feasible);
@@ -101,8 +97,7 @@ TEST(Tradeoff, InfeasiblePointsMarked) {
 TEST(Tradeoff, T2MiddleTaskReducedLast) {
   // Figure 3: sweeping both caps of the three-stage chain, the outer tasks'
   // budgets drop below the middle task's budget as soon as capacity allows.
-  model::Configuration config = gen::three_stage_chain_t2();
-  const TradeoffSweep sweep = sweep_max_capacity(config, 0, 1, 10);
+  const TradeoffSweep sweep = engine_sweep(gen::three_stage_chain_t2(), 1, 10);
   for (const TradeoffPoint& p : sweep.points) {
     ASSERT_TRUE(p.feasible);
     const double beta_a = p.budgets_continuous[0];
@@ -120,9 +115,20 @@ TEST(Tradeoff, T2MiddleTaskReducedLast) {
 }
 
 TEST(Tradeoff, RejectsBadRange) {
+  api::Engine engine;
+  for (const auto& [lo, hi] : {std::pair<Index, Index>{0, 5}, {4, 2}}) {
+    const api::Response response =
+        engine.run(sweep_request(gen::producer_consumer_t1(), lo, hi));
+    EXPECT_EQ(response.status, api::ResponseStatus::kError);
+    EXPECT_NE(response.error.find("cap_lo <= cap_hi"), std::string::npos);
+  }
+  EXPECT_EQ(engine.pooled_sessions(), 0u);  // rejected before any build
+
   model::Configuration config = gen::producer_consumer_t1();
-  EXPECT_THROW(sweep_max_capacity(config, 0, 0, 5), ContractViolation);
-  EXPECT_THROW(sweep_max_capacity(config, 0, 4, 2), ContractViolation);
+  config.mutable_task_graph(0).set_max_capacity(0, 3);
+  SolverSession session(config);
+  EXPECT_THROW(sweep_max_capacity(session, 0, 0, 5), ContractViolation);
+  EXPECT_THROW(sweep_max_capacity(session, 0, 4, 2), ContractViolation);
 }
 
 }  // namespace

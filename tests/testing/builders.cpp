@@ -75,4 +75,28 @@ model::Configuration minimal_valid() {
   return config;
 }
 
+std::vector<api::Request> one_request_per_path(
+    const model::Configuration& config) {
+  std::vector<api::Request> requests;
+  const auto add = [&requests](const char* id, api::RequestPayload payload) {
+    api::Request request;
+    request.id = id;
+    request.payload = std::move(payload);
+    requests.push_back(std::move(request));
+  };
+  add("solve", api::SolveRequest{config});
+  add("sweep", api::SweepRequest{config, 0, 1, 4});
+  api::MinPeriodRequest search{config};
+  search.period_hi = 40.0;
+  add("min_period_joint", search);
+  search.flow = api::MinPeriodRequest::Flow::kBudgetFirst;
+  add("min_period_budget_first", search);
+  add("two_phase_budget_first", api::TwoPhaseRequest{config});
+  add("two_phase_buffer_first",
+      api::TwoPhaseRequest{config, api::TwoPhaseRequest::Mode::kBufferFirst, 1,
+                           4});
+  add("latency", api::LatencyRequest{config});
+  return requests;
+}
+
 }  // namespace bbs::testing

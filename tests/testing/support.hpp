@@ -11,7 +11,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
+#include "bbs/api/request.hpp"
 #include "bbs/gen/generators.hpp"
 #include "bbs/model/configuration.hpp"
 
@@ -124,5 +126,17 @@ struct MultiGraphSweepOptions {
 
 /// Builds the validated two-graph sweep preset described above.
 model::Configuration multi_graph_sweep(const MultiGraphSweepOptions& opts = {});
+
+// ---------------------------------------------------------------------------
+// Canned requests
+// ---------------------------------------------------------------------------
+
+/// One request per execution path of api::Engine, each on graph 0 of
+/// `config` and ids naming the path: solve, sweep (caps 1..4), joint and
+/// budget-first min_period (period_hi 40), budget-first and buffer-first
+/// (caps 1..4) two_phase, and latency. All seven answer `ok` on the paper's
+/// T1 and T2 systems.
+std::vector<api::Request> one_request_per_path(
+    const model::Configuration& config);
 
 }  // namespace bbs::testing

@@ -31,6 +31,8 @@
 #include "bbs/dataflow/srdf_graph.hpp"
 #include "bbs/gen/generators.hpp"
 #include "bbs/io/api_io.hpp"
+#include "bbs/linalg/ordering.hpp"
+#include "bbs/linalg/sparse_ldlt.hpp"
 #include "bbs/service/dispatcher.hpp"
 #include "bbs/service/endpoint.hpp"
 #include "bbs/service/socket_server.hpp"
@@ -77,7 +79,7 @@ void BM_ChainScaling(benchmark::State& state) {
 }
 BENCHMARK(BM_ChainScaling)
     ->RangeMultiplier(2)
-    ->Range(4, 128)
+    ->Range(4, 256)
     ->Unit(benchmark::kMillisecond)
     ->Complexity();
 
@@ -562,6 +564,50 @@ void BM_KktFactorise(benchmark::State& state) {
 BENCHMARK(BM_KktFactorise)
     ->RangeMultiplier(2)
     ->Range(16, 64)
+    ->Unit(benchmark::kMicrosecond)
+    ->Complexity();
+
+/// The fill-reducing ordering alone, on the normal-equation pattern
+/// G' S G of a chain's program (S block diagonal over the cone, dense
+/// second-order-cone blocks) — the one-time symbolic cost of every cold
+/// solve. `factor_nnz` is the fill of L under the computed order.
+void BM_FillReducingOrdering(benchmark::State& state) {
+  bbs::gen::GenParams params;
+  params.num_processors = 8;
+  params.seed = 5;
+  const bbs::core::BuiltProgram prog =
+      bbs::core::build_algorithm1(bbs::gen::make_chain(
+          static_cast<bbs::linalg::Index>(state.range(0)), params));
+  const bbs::linalg::SparseMatrix& g = prog.problem.g();
+  const bbs::solver::ConeSpec& cone = prog.problem.cone();
+  bbs::linalg::TripletList s(g.rows(), g.rows());
+  for (bbs::linalg::Index i = 0; i < cone.nonneg(); ++i) s.add(i, i, 1.0);
+  for (std::size_t b = 0; b < cone.soc_dims().size(); ++b) {
+    const bbs::linalg::Index off = cone.soc_offset(b);
+    for (bbs::linalg::Index i = off; i < off + cone.soc_dims()[b]; ++i) {
+      for (bbs::linalg::Index j = off; j < off + cone.soc_dims()[b]; ++j) {
+        s.add(i, j, i == j ? 2.0 : 0.1);
+      }
+    }
+  }
+  const bbs::linalg::SparseMatrix normal = g.transpose().multiply(
+      bbs::linalg::SparseMatrix::from_triplets(s).multiply(g));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bbs::linalg::compute_ordering(
+        normal, bbs::linalg::OrderingMethod::kApproximateMinimumDegree));
+  }
+  const std::vector<bbs::linalg::Index> perm = bbs::linalg::compute_ordering(
+      normal, bbs::linalg::OrderingMethod::kApproximateMinimumDegree);
+  bbs::linalg::SparseLdlt::Options options;
+  options.fixed_permutation = &perm;
+  state.counters["dim"] = static_cast<double>(normal.rows());
+  state.counters["factor_nnz"] = static_cast<double>(
+      bbs::linalg::SparseLdlt(normal, options).factor_nnz());
+  state.SetComplexityN(state.range(0));
+}
+BENCHMARK(BM_FillReducingOrdering)
+    ->RangeMultiplier(2)
+    ->Range(64, 256)
     ->Unit(benchmark::kMicrosecond)
     ->Complexity();
 

@@ -48,9 +48,9 @@ void visit_baked_options(Options& ipm, Visit&& visit) {
 /// per solve: bisection probes and sweep points are feasibility queries,
 /// and the engine verifies exactly the mappings a response hands back (when
 /// the request asks for verification at all). Per-execution state never
-/// bakes into a session: deadlines, tokens, failpoints and trace sinks are
-/// wildcards of the pool key and are installed on every acquire() via
-/// SolveControl instead.
+/// bakes into a session: deadlines, tokens, failpoints, trace sinks and the
+/// verbosity are wildcards of the pool key and are installed on every
+/// acquire() via SolveControl instead.
 core::SessionOptions base_session_options(const solver::SolverOptions& ipm,
                                           double rounding_eps) {
   core::SessionOptions options;
@@ -61,6 +61,7 @@ core::SessionOptions base_session_options(const solver::SolverOptions& ipm,
   options.mapping.ipm.fail_at_iteration = -1;
   options.mapping.ipm.fail_only_first_attempt = false;
   options.mapping.ipm.trace_sink = nullptr;
+  options.mapping.ipm.verbosity = 0;
   options.mapping.rounding_eps = rounding_eps;
   options.mapping.verify = false;
   return options;
@@ -337,13 +338,7 @@ void reparameterise(core::SolverSession& session,
 bool drive(core::SolverSession& session, const SolveRequest&,
            const RequestOptions& opts, ResponsePayload& out) {
   core::MappingResult mapping = session.solve();
-  core::throw_if_interrupted(mapping);
-  if (mapping.status == solver::SolveStatus::kNumericalFailure) {
-    // A lone solve has no bracket to fall back on: a numerical breakdown is
-    // neither a solution nor an infeasibility certificate, so surface it as
-    // a structured hard error instead of claiming "infeasible".
-    throw NumericalError("interior-point solve failed to converge");
-  }
+  core::settle_lone_solve(session.config(), mapping);
   if (opts.verify) core::verify_mapping(session.config(), mapping);
   const bool feasible = mapping.feasible();
   out = SolvePayload{std::move(mapping)};
@@ -407,7 +402,7 @@ bool drive(core::SolverSession& session, const LatencyRequest& r,
            const RequestOptions& opts, ResponsePayload& out) {
   LatencyPayload payload;
   payload.mapping = session.solve();
-  core::throw_if_interrupted(payload.mapping);
+  core::settle_lone_solve(session.config(), payload.mapping);
   if (opts.verify) {
     core::verify_mapping(session.config(), payload.mapping);
   }
@@ -655,6 +650,7 @@ Response Engine::run(const Request& request, Deadline deadline,
   control_.fail_only_first_attempt =
       request.options.ipm.fail_only_first_attempt;
   control_.trace_sink = request.options.ipm.trace_sink;
+  control_.verbosity = request.options.ipm.verbosity;
 
   Response response;
   const auto fail = [&](ErrorCode code, const char* what) {

@@ -23,7 +23,10 @@ enum class ResponseStatus {
   /// The request executed and produced at least one feasible mapping (for
   /// sweeps: at least one feasible point).
   kOk,
-  /// The request executed but no probed configuration was feasible.
+  /// The request executed but no probed configuration was feasible. A
+  /// solve or latency request answers this only with an infeasibility
+  /// certificate; one that neither converges nor proves infeasibility is a
+  /// kError with ErrorCode::kNumericalFailure.
   kInfeasible,
   /// The request could not be executed (malformed model, contract
   /// violation, numerical failure escaping the solver); see `error`.

@@ -23,7 +23,8 @@ MappingResult mapping_from_solution(const model::Configuration& config,
   result.warm_started = sol.warm_started;
   result.recovery_attempts = sol.recovery_attempts;
   result.recovered = sol.recovered;
-  if (sol.status != solver::SolveStatus::kOptimal) {
+  if (sol.status != solver::SolveStatus::kOptimal &&
+      sol.status != solver::SolveStatus::kInaccurate) {
     return result;
   }
   result.objective_continuous = sol.primal_objective;
@@ -84,6 +85,26 @@ void throw_if_interrupted(const MappingResult& result) {
   if (result.status == solver::SolveStatus::kCancelled) {
     throw Cancelled("solve was cancelled");
   }
+}
+
+void settle_lone_solve(const model::Configuration& config,
+                       MappingResult& result) {
+  throw_if_interrupted(result);
+  switch (result.status) {
+    case solver::SolveStatus::kOptimal:
+    case solver::SolveStatus::kPrimalInfeasible:
+    case solver::SolveStatus::kDualInfeasible:
+      return;
+    case solver::SolveStatus::kInaccurate:
+      result.status = solver::SolveStatus::kOptimal;
+      result.reduced_accuracy = true;
+      verify_mapping(config, result);
+      if (result.verified) return;
+      break;
+    default:
+      break;
+  }
+  throw NumericalError("interior-point solve failed to converge");
 }
 
 void verify_mapping(const model::Configuration& config,

@@ -55,6 +55,10 @@ struct MappingResult {
   /// True iff the SOCP was solved, rounding succeeded, every graph passes
   /// the MCR verification and the platform constraints hold.
   bool verified = false;
+  /// True iff this allocation rounds the IPM's reduced-accuracy iterate
+  /// (SolveStatus::kInaccurate) and was accepted because it verified: a
+  /// lone solve that neither converged nor produced a certificate.
+  bool reduced_accuracy = false;
 
   bool feasible() const { return status == solver::SolveStatus::kOptimal; }
   /// True iff the solve exited early on a deadline or cancellation: the
@@ -89,7 +93,8 @@ MappingResult solve_built_program(const model::Configuration& config,
 /// The rounding + verification tail of the flow: turns a raw IPM solution of
 /// `program` into a MappingResult. Shared by the one-shot solvers above and
 /// the warm-started SolverSession (which produces the SolveResult through a
-/// persistent workspace).
+/// persistent workspace). A kInaccurate solution is rounded too, but its
+/// result is not feasible() until settle_lone_solve accepts it.
 MappingResult mapping_from_solution(const model::Configuration& config,
                                     const BuiltProgram& program,
                                     const solver::SolveResult& solution,
@@ -103,6 +108,17 @@ MappingResult mapping_from_solution(const model::Configuration& config,
 /// Without this a bisection or sweep would silently misread the
 /// half-finished probe as an infeasible point.
 void throw_if_interrupted(const MappingResult& result);
+
+/// The exit of a lone solve (a solve or latency request), which has no
+/// bracket to fall back on: optima and infeasibility certificates pass
+/// through; a kInaccurate result is promoted to a verified optimum with
+/// `reduced_accuracy` set when its rounded allocation passes verification.
+/// Anything else — a stall, a breakdown, an inaccurate allocation that does
+/// not verify — throws NumericalError: it is neither a solution nor a
+/// certificate, so it must not read as "infeasible". Interrupted solves
+/// throw as in throw_if_interrupted.
+void settle_lone_solve(const model::Configuration& config,
+                       MappingResult& result);
 
 /// (Re)runs the MCR + platform verification pass on a feasible rounded
 /// mapping, filling per-graph verification data and `verified`. Lets search

@@ -45,6 +45,7 @@ void SolverSession::set_solve_control(const SolveControl& control) {
   opts.fail_at_iteration = control.fail_at_iteration;
   opts.fail_only_first_attempt = control.fail_only_first_attempt;
   opts.trace_sink = control.trace_sink;
+  opts.verbosity = control.verbosity;
   ipm_ = solver::IpmSolver(opts);
 }
 

@@ -46,11 +46,12 @@ struct SessionOptions {
   bool two_sided_warm_seeds = true;
 };
 
-/// Per-request interruption control for a (possibly pooled) session: a
-/// wall-clock budget, a shared cancellation token, and the chaos tests'
-/// injected-failure hook. Installed with SolverSession::set_solve_control
-/// before the request's solves and cleared afterwards, so sessions pooled
-/// across requests never leak one request's deadline into the next.
+/// Per-request control for a (possibly pooled) session: a wall-clock
+/// budget, a shared cancellation token, the chaos tests' injected-failure
+/// hook, a trace sink and the log verbosity. Installed with
+/// SolverSession::set_solve_control before the request's solves and cleared
+/// afterwards, so sessions pooled across requests never leak one request's
+/// deadline (or logging) into the next.
 struct SolveControl {
   double time_limit_ms = 0.0;  ///< per-solve budget; 0 = unlimited
   /// Absolute deadline shared by every solve of the request (sweeps and
@@ -66,6 +67,8 @@ struct SolveControl {
   /// Per-execution trace sink for IPM iteration/ladder events (request
   /// tracing); not owned, must outlive the request. nullptr = no events.
   solver::IpmTraceSink* trace_sink = nullptr;
+  /// IPM stderr logging for this request (SolverOptions::verbosity).
+  int verbosity = 0;
 };
 
 /// Which snapshot seeded a solve (see SolverSession::seed_stats()).

@@ -76,7 +76,7 @@ solver::SolveStatus solve_status_from_string(const std::string& s) {
        {SolveStatus::kOptimal, SolveStatus::kPrimalInfeasible,
         SolveStatus::kDualInfeasible, SolveStatus::kMaxIterations,
         SolveStatus::kNumericalFailure, SolveStatus::kTimedOut,
-        SolveStatus::kCancelled}) {
+        SolveStatus::kCancelled, SolveStatus::kInaccurate}) {
     if (s == solver::to_string(status)) return status;
   }
   schema_error("unknown solve status '" + s + "'");
@@ -135,6 +135,7 @@ JsonValue mapping_result_to_json_value(const core::MappingResult& result) {
       JsonValue(static_cast<double>(result.ipm_iterations));
   root["warm_started"] = result.warm_started;
   root["verified"] = result.verified;
+  if (result.reduced_accuracy) root["reduced_accuracy"] = true;
   JsonArray graphs;
   for (const core::MappedGraph& mg : result.graphs) {
     JsonObject g;
@@ -174,6 +175,7 @@ core::MappingResult mapping_result_from_json_value(const JsonValue& doc) {
       static_cast<int>(get_index(root, "ipm_iterations", "mapping", 0));
   result.warm_started = get_bool(root, "warm_started", false);
   result.verified = get_bool(root, "verified", false);
+  result.reduced_accuracy = get_bool(root, "reduced_accuracy", false);
   for (const JsonValue& gv : require(root, "graphs", "mapping").as_array()) {
     const JsonObject& g = gv.as_object();
     core::MappedGraph mg;

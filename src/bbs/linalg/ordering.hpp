@@ -1,11 +1,18 @@
 // Fill-reducing orderings for the sparse LDL^T factorisation.
 //
 // The normal-equation matrices produced by the interior-point solver inherit
-// the topology of the task graphs, so orderings matter for the scaling
-// benchmark (bench_ablation_ordering). Three methods are provided:
-//   * Natural           — identity permutation (baseline),
-//   * ReverseCuthillMcKee — bandwidth-reducing BFS ordering,
-//   * MinimumDegree     — greedy minimum-degree on the elimination graph.
+// the topology of the task graphs: long chains, hubs where a processor's
+// budget row meets all of its tasks, and a few dense rows. Two methods are
+// provided:
+//   * Natural                  — identity permutation (the ablation baseline
+//                                of bench_ablation_ordering),
+//   * ApproximateMinimumDegree — quotient-graph AMD (Amestoy, Davis & Duff,
+//                                SIMAX 1996): supervariables, approximate
+//                                external degrees, element and aggressive
+//                                absorption, mass elimination, dense rows
+//                                deferred, and a postordered result. It
+//                                works in the space of the input pattern, in
+//                                time close to linear in its size.
 #pragma once
 
 #include <vector>
@@ -16,14 +23,13 @@ namespace bbs::linalg {
 
 enum class OrderingMethod {
   kNatural,
-  kReverseCuthillMcKee,
-  kMinimumDegree,
+  kApproximateMinimumDegree,
 };
 
 /// Computes a fill-reducing permutation for a square matrix whose *pattern*
 /// is interpreted symmetrically (the union of the stored pattern and its
-/// transpose is used; values are ignored). Returns perm with
-/// perm[new_index] = old_index.
+/// transpose is used; values and the diagonal are ignored). Returns perm
+/// with perm[new_index] = old_index.
 std::vector<Index> compute_ordering(const SparseMatrix& pattern,
                                     OrderingMethod method);
 

@@ -4,8 +4,9 @@
 // solver's normal-equation solves.
 //
 // The factorisation is split into a symbolic phase (fill-reducing
-// permutation, elimination tree, column counts, workspaces) that runs once
-// in the constructor, and a numeric phase that can be re-run against new
+// permutation — approximate minimum degree unless the caller fixes one —
+// elimination tree, column counts, workspaces) that runs once in the
+// constructor, and a numeric phase that can be re-run against new
 // values on the same sparsity pattern via refactor() with zero allocation —
 // the structure the interior-point method exploits, since its KKT pattern is
 // iteration-invariant.
@@ -29,7 +30,7 @@ namespace bbs::linalg {
 class SparseLdlt {
  public:
   struct Options {
-    OrderingMethod ordering = OrderingMethod::kMinimumDegree;
+    OrderingMethod ordering = OrderingMethod::kApproximateMinimumDegree;
     /// Pivots smaller in magnitude than this throw NumericalError.
     double min_pivot = 1e-14;
     /// If false, a negative pivot throws (use for matrices that must be SPD).

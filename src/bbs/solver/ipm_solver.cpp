@@ -73,6 +73,16 @@ double safe_div(double a, double b) {
   return (b == 0.0) ? 0.0 : a / b;
 }
 
+/// Objectives, gap and residuals of a result's (original-coordinate) point.
+void evaluate(const ConicProblem& problem, SolveResult& result) {
+  result.primal_objective = problem.objective(result.x);
+  result.dual_objective = -linalg::dot(problem.h(), result.z);
+  result.duality_gap =
+      std::abs(result.primal_objective - result.dual_objective);
+  result.primal_residual = problem.primal_residual(result.x, result.s);
+  result.dual_residual = problem.dual_residual(result.z);
+}
+
 }  // namespace
 
 const char* to_string(SolveStatus status) {
@@ -91,6 +101,8 @@ const char* to_string(SolveStatus status) {
       return "timed-out";
     case SolveStatus::kCancelled:
       return "cancelled";
+    case SolveStatus::kInaccurate:
+      return "inaccurate";
   }
   return "?";
 }
@@ -129,12 +141,38 @@ SolveResult IpmSolver::solve(const ConicProblem& problem) const {
 
 SolveResult IpmSolver::solve(const ConicProblem& problem,
                              IpmWorkspace& ws) const {
+  ws.have_reduced_ = false;
   SolveResult result = solve_attempt(problem, ws, options_);
-  if (result.status != SolveStatus::kNumericalFailure ||
-      options_.recovery_attempts <= 0) {
-    return result;
+  if (result.status == SolveStatus::kNumericalFailure &&
+      options_.recovery_attempts > 0) {
+    result = recover(problem, ws, std::move(result));
   }
+  // Reduced-accuracy exit: neither convergence nor a certificate, but some
+  // iterate came within kReducedAccuracyTol. Hand back that point, marked
+  // as what it is, rather than a stalled or broken-down one.
+  if ((result.status == SolveStatus::kNumericalFailure ||
+       result.status == SolveStatus::kMaxIterations) &&
+      ws.have_reduced_) {
+    result.status = SolveStatus::kInaccurate;
+    result.x = ws.reduced_x_;
+    result.s = ws.reduced_s_;
+    result.z = ws.reduced_z_;
+    result.tau = ws.reduced_tau_;
+    result.kappa = ws.reduced_kappa_;
+    evaluate(problem, result);
+    if (options_.verbosity >= 1) {
+      std::fprintf(stderr,
+                   "[ipm] inaccurate: best iterate within %.0e "
+                   "(merit %.3g): pobj=%.9g dobj=%.9g\n",
+                   kReducedAccuracyTol, ws.reduced_merit_,
+                   result.primal_objective, result.dual_objective);
+    }
+  }
+  return result;
+}
 
+SolveResult IpmSolver::recover(const ConicProblem& problem, IpmWorkspace& ws,
+                               SolveResult result) const {
   // --- Recovery ladder -------------------------------------------------------
   // Each rung retries the whole solve with progressively heavier-handed
   // numerics. The symbolic KKT analysis is shared by every attempt (the
@@ -369,12 +407,7 @@ SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
       result.s[i] = s[i] / (row_scale[i] * t);
       result.z[i] = row_scale[i] * z[i] / t;
     }
-    result.primal_objective = problem.objective(result.x);
-    result.dual_objective = -linalg::dot(problem.h(), result.z);
-    result.duality_gap =
-        std::abs(result.primal_objective - result.dual_objective);
-    result.primal_residual = problem.primal_residual(result.x, result.s);
-    result.dual_residual = problem.dual_residual(result.z);
+    evaluate(problem, result);
     if (options.verbosity >= 1) {
       std::fprintf(stderr,
                    "[ipm] %s after %d iterations%s: pobj=%.9g dobj=%.9g "
@@ -490,7 +523,8 @@ SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
     }
     if (iter == options.fail_at_iteration) {
       // Injected fault (chaos tests): a hard numerical failure, never
-      // rescued by the best iterate.
+      // rescued by the best iterate or a reduced-accuracy one.
+      ws.have_reduced_ = false;
       restore_best();
       return finalise(SolveStatus::kNumericalFailure, iter);
     }
@@ -533,6 +567,28 @@ SolveResult IpmSolver::solve_attempt(const ConicProblem& problem,
                                      dres / options.feas_tol,
                                      std::min(rel_gap, gap) /
                                          options.gap_tol});
+      // The same criteria against the fixed reduced-accuracy pair; the best
+      // such iterate over all attempts is the kInaccurate fallback. Stored
+      // unscaled, since a ladder rung may re-equilibrate.
+      const double reduced_merit =
+          std::max({pres, dres, std::min(rel_gap, gap)}) / kReducedAccuracyTol;
+      if (reduced_merit <= 1.0 &&
+          (!ws.have_reduced_ || reduced_merit < ws.reduced_merit_)) {
+        ws.have_reduced_ = true;
+        ws.reduced_merit_ = reduced_merit;
+        ws.reduced_tau_ = tau;
+        ws.reduced_kappa_ = kappa;
+        ws.reduced_x_.resize(n);
+        ws.reduced_s_.resize(m);
+        ws.reduced_z_.resize(m);
+        for (std::size_t j = 0; j < n; ++j) {
+          ws.reduced_x_[j] = col_scale[j] * x[j] / tau;
+        }
+        for (std::size_t i = 0; i < m; ++i) {
+          ws.reduced_s_[i] = s[i] / (row_scale[i] * tau);
+          ws.reduced_z_[i] = row_scale[i] * z[i] / tau;
+        }
+      }
       if (merit < best_merit) {
         best_merit = merit;
         best_iteration = iter;

@@ -35,9 +35,20 @@ enum class SolveStatus {
   kNumericalFailure,
   kTimedOut,   ///< wall-clock budget (time_limit_ms / token deadline) expired
   kCancelled,  ///< the solve's CancelToken was flipped mid-run
+  /// No convergence at the requested tolerances and no certificate, even
+  /// after the recovery ladder, but the returned point is the best iterate
+  /// that met the reduced-accuracy pair kReducedAccuracyTol (the "close to
+  /// optimal" exit of ECOS; Domahidi, Chu & Boyd, ECC 2013). Not an optimum:
+  /// callers that need one must check the rounded allocation themselves.
+  kInaccurate,
 };
 
 const char* to_string(SolveStatus status);
+
+/// Feasibility and gap tolerance of the reduced-accuracy fallback: 100x the
+/// default feas_tol/gap_tol. A constant, not an option — it only decides
+/// which point a failed solve hands back, never whether a solve converged.
+inline constexpr double kReducedAccuracyTol = 1e-4;
 
 /// Observer interface for per-request solve introspection. The solver calls
 /// it from inside the iteration loop (same thread as solve()); an
@@ -70,7 +81,8 @@ struct SolverOptions {
   double step_fraction = 0.99;
   int refine_steps = 1;
   double static_regularisation = 1e-12;
-  linalg::OrderingMethod ordering = linalg::OrderingMethod::kMinimumDegree;
+  linalg::OrderingMethod ordering =
+      linalg::OrderingMethod::kApproximateMinimumDegree;
   /// Ruiz equilibration rounds (0 disables scaling).
   int equilibrate_rounds = 3;
   /// Warm starting (workspace solves only): seed the embedding from the
@@ -238,6 +250,13 @@ class IpmWorkspace {
   // Iterates and solve-loop work vectors.
   Vector x_, s_, z_, e_;
   Vector best_x_, best_s_, best_z_;
+  // Best iterate of the current solve (all ladder attempts) that met the
+  // reduced-accuracy pair, in original coordinates; the kInaccurate result.
+  bool have_reduced_ = false;
+  double reduced_merit_ = 0.0;
+  double reduced_tau_ = 0.0;
+  double reduced_kappa_ = 0.0;
+  Vector reduced_x_, reduced_s_, reduced_z_;
   Vector r_dual_, r_pri_;
   Vector u1_, v1_, u2_, v2_;
   Vector dx_aff_, dz_aff_, ds_aff_, dx_, dz_, ds_;
@@ -269,13 +288,19 @@ class IpmSolver {
   /// symbolic KKT analysis, the scaling buffers and — when enabled and the
   /// previous solve was optimal — its solution as a warm start. A
   /// kNumericalFailure exit escalates through the recovery ladder (see
-  /// SolverOptions::recovery_attempts) before it is reported.
+  /// SolverOptions::recovery_attempts) before it is reported. A solve that
+  /// still ends in kNumericalFailure or kMaxIterations reports kInaccurate
+  /// instead when one of its iterates met kReducedAccuracyTol.
   SolveResult solve(const ConicProblem& problem,
                     IpmWorkspace& workspace) const;
 
   const SolverOptions& options() const { return options_; }
 
  private:
+  /// The recovery ladder: retries a kNumericalFailure `result` with
+  /// progressively heavier-handed numerics and returns the last attempt.
+  SolveResult recover(const ConicProblem& problem, IpmWorkspace& ws,
+                      SolveResult result) const;
   /// One interior-point run under `options` (no ladder). The symbolic KKT
   /// analysis stays shared across attempts: regularisation changes go
   /// through KktSystem::set_static_regularisation, never a rebuild.

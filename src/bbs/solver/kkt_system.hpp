@@ -16,7 +16,9 @@
 // The sparsity pattern of G' W^{-2} G is identical on every interior-point
 // iteration, so all symbolic work happens exactly once, on the first
 // factorise() call: the cached-pattern products S·G and G'·(S·G), the
-// fill-reducing ordering, and the LDL^T elimination-tree analysis. Every
+// fill-reducing ordering (approximate minimum degree, near-linear in the
+// pattern size, so a cold solve's symbolic work is a small share of its
+// first iteration), and the LDL^T elimination-tree analysis. Every
 // later factorise() updates values in place and runs a numeric-only
 // refactorisation — no triplet assembly, no reallocation.
 //
@@ -53,7 +55,8 @@ struct SymbolicAnalysis {
 class KktSystem {
  public:
   struct Options {
-    linalg::OrderingMethod ordering = linalg::OrderingMethod::kMinimumDegree;
+    linalg::OrderingMethod ordering =
+        linalg::OrderingMethod::kApproximateMinimumDegree;
     /// Static Tikhonov term added to the normal equations, relative to the
     /// largest diagonal entry.
     double static_regularisation = 1e-12;

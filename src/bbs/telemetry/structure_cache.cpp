@@ -14,7 +14,10 @@ namespace bbs::telemetry {
 namespace {
 
 constexpr const char* kMagic = "BBSCACHE";
-constexpr const char* kVersion = "v1";
+// v2: OrderingMethod was renumbered (natural, AMD) when RCM and the
+// clique minimum degree were deleted; v1 entries key and hold permutations
+// of the old numbering.
+constexpr const char* kVersion = "v2";
 
 std::string hex64(std::uint64_t value) {
   char buffer[17];

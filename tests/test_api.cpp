@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 
 #include "bbs/api/engine.hpp"
 #include "bbs/common/assert.hpp"
@@ -490,6 +491,42 @@ TEST(ApiEngine, ErrorsAreReportedPerRequest) {
   EXPECT_EQ(reparsed.status, ResponseStatus::kError);
   EXPECT_EQ(reparsed.error, responses[0].error);
   EXPECT_EQ(io::response_to_json(reparsed), text);
+}
+
+TEST(ApiEngine, StalledColdSolvesAnswerVerifiedOk) {
+  // Four cold solves whose interior-point runs end without convergence or
+  // a certificate, recovery ladder included: each either stalls or breaks
+  // down, depending on roundoff. Their best iterates meet the reduced
+  // accuracy pair, and the rounded allocations verify, so the engine
+  // answers with them — never "infeasible", which needs a certificate.
+  std::ifstream in(std::string(BBS_TEST_CORPUS_DIR) + "/cold-stalls.jsonl");
+  ASSERT_TRUE(in.good());
+  std::string line;
+  int answered = 0;
+  while (std::getline(in, line)) {
+    const Request request = io::request_from_json(line);
+    Engine engine;
+    const Response response = engine.run(request);
+    ASSERT_EQ(response.status, ResponseStatus::kOk)
+        << request.id << ": " << response.error;
+    const MappingResult& mapping =
+        std::get<api::SolvePayload>(response.payload).mapping;
+    EXPECT_TRUE(mapping.verified) << request.id;
+    EXPECT_TRUE(mapping.feasible()) << request.id;
+    ++answered;
+  }
+  EXPECT_EQ(answered, 4);
+}
+
+TEST(ApiEngine, UnconvergedLoneSolveIsAnErrorNotInfeasible) {
+  // Two iterations reach neither the tolerances, a certificate nor the
+  // reduced-accuracy pair: a structured numerical failure.
+  Request request = solve_request(testing::paper_t2(), "cut-short");
+  request.options.ipm.max_iterations = 2;
+  Engine engine;
+  const Response response = engine.run(request);
+  EXPECT_EQ(response.status, ResponseStatus::kError);
+  EXPECT_EQ(response.error_code, api::ErrorCode::kNumericalFailure);
 }
 
 // ---------------------------------------------------------------------------

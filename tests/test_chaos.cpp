@@ -250,6 +250,32 @@ TEST(ServiceChaosEngine, LaterRequestsInheritNoStaleControl) {
   EXPECT_TRUE(search.diagnostics.session_reused);
 }
 
+TEST(ServiceChaosEngine, LaterRequestsInheritNoVerbosity) {
+  // The IPM's stderr logging is per request too: a quiet request on a
+  // session that a verbose one created prints nothing.
+  api::Engine engine;
+  Request verbose;
+  verbose.id = "verbose";
+  verbose.options.ipm.verbosity = 1;
+  verbose.payload = api::SolveRequest{testing::paper_t1()};
+  Request quiet = verbose;
+  quiet.id = "quiet";
+  quiet.options.ipm.verbosity = 0;
+
+  ::testing::internal::CaptureStderr();
+  const Response first = engine.run(verbose);
+  const std::string first_log = ::testing::internal::GetCapturedStderr();
+  ::testing::internal::CaptureStderr();
+  const Response second = engine.run(quiet);
+  const std::string second_log = ::testing::internal::GetCapturedStderr();
+
+  EXPECT_EQ(first.status, ResponseStatus::kOk);
+  EXPECT_NE(first_log.find("[ipm]"), std::string::npos);
+  EXPECT_EQ(second.status, ResponseStatus::kOk);
+  EXPECT_TRUE(second.diagnostics.session_reused);
+  EXPECT_EQ(second_log, "");
+}
+
 // ---------------------------------------------------------------------------
 // Dispatcher: queue-expiry shedding and cancellation
 // ---------------------------------------------------------------------------

@@ -5,6 +5,8 @@
 #include <cmath>
 
 #include "bbs/common/rng.hpp"
+#include "bbs/core/program_builder.hpp"
+#include "bbs/gen/generators.hpp"
 #include "bbs/solver/ipm_solver.hpp"
 
 namespace bbs::solver {
@@ -152,6 +154,34 @@ TEST(IpmSocp, LargerSocBlock) {
   for (std::size_t i = 0; i < n; ++i) {
     EXPECT_NEAR(r.x[i], 1.0 + static_cast<double>(i), 1e-4);
   }
+}
+
+TEST(IpmReducedAccuracy, CutShortSolveReturnsItsBestReducedIterate) {
+  // Stop one convergence test short: the last iterate tested is inside the
+  // reduced-accuracy pair but not the tolerances, so the solve reports it
+  // as kInaccurate, scaled like an optimum, instead of kMaxIterations.
+  const ConicProblem problem =
+      core::build_algorithm1(gen::producer_consumer_t1()).problem;
+  const SolveResult converged = IpmSolver().solve(problem);
+  ASSERT_EQ(converged.status, SolveStatus::kOptimal);
+
+  SolverOptions options;
+  options.max_iterations = converged.iterations;
+  const SolveResult cut = IpmSolver(options).solve(problem);
+  ASSERT_EQ(cut.status, SolveStatus::kInaccurate);
+  EXPECT_LE(cut.primal_residual, 1e-3);
+  EXPECT_NEAR(cut.primal_objective, converged.primal_objective,
+              1e-3 * converged.primal_objective);
+
+  // Far from the optimum there is no such iterate: the stall stands.
+  options.max_iterations = 2;
+  EXPECT_EQ(IpmSolver(options).solve(problem).status,
+            SolveStatus::kMaxIterations);
+  // An injected fault is never rescued by a reduced-accuracy iterate.
+  options.max_iterations = 100;
+  options.fail_at_iteration = converged.iterations;
+  EXPECT_EQ(IpmSolver(options).solve(problem).status,
+            SolveStatus::kNumericalFailure);
 }
 
 }  // namespace

@@ -169,9 +169,9 @@ TEST_P(SparseLdltOrderings, RandomSpdSolvesMatchDense) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AllOrderings, SparseLdltOrderings,
-                         ::testing::Values(OrderingMethod::kNatural,
-                                           OrderingMethod::kReverseCuthillMcKee,
-                                           OrderingMethod::kMinimumDegree));
+                         ::testing::Values(
+                             OrderingMethod::kNatural,
+                             OrderingMethod::kApproximateMinimumDegree));
 
 TEST(SparseLdlt, RefinementReducesResidual) {
   Rng rng(23);

@@ -416,7 +416,7 @@ TEST(TelemetryCache, EveryBakedOptionIsKeyedAndSurvivesThePayload) {
        [](auto& o) { o.ipm.static_regularisation = 2e-12; }},
       {"ordering",
        [](auto& o) {
-         o.ipm.ordering = linalg::OrderingMethod::kReverseCuthillMcKee;
+         o.ipm.ordering = linalg::OrderingMethod::kNatural;
        }},
       {"equilibrate_rounds", [](auto& o) { o.ipm.equilibrate_rounds = 2; }},
       {"warm_start", [](auto& o) { o.ipm.warm_start = false; }},
@@ -585,11 +585,10 @@ TEST(TelemetryCache, CorruptStaleAndMisnamedEntriesAreSkippedAndCounted) {
   std::string flipped = valid_bytes;
   flipped.back() = flipped.back() == '}' ? ']' : '}';
   write_file(broken.path + "/00000000000000aa.bbsc", flipped);
-  // (3) Stale format version (the header's "v1" bumped to "v9").
+  // (3) Stale format version (the header's "v2" bumped to "v9").
   std::string stale = valid_bytes;
-  const std::size_t v = stale.find("v1");
-  ASSERT_NE(v, std::string::npos);
-  stale.replace(v, 2, "v9");
+  ASSERT_EQ(stale.rfind("BBSCACHE v2 ", 0), 0u);
+  stale.replace(9, 2, "v9");
   write_file(broken.path + "/00000000000000bb.bbsc", stale);
   // (4) Valid bytes under a name the entry's key does not hash to.
   write_file(broken.path + "/00000000000000cc.bbsc", valid_bytes);
@@ -602,6 +601,44 @@ TEST(TelemetryCache, CorruptStaleAndMisnamedEntriesAreSkippedAndCounted) {
   const telemetry::StructureCacheStats stats = cache.stats();
   EXPECT_EQ(stats.entries_loaded, 0u);
   EXPECT_EQ(stats.load_errors, 4u);
+}
+
+TEST(TelemetryCache, FormatV1FilesAreRejectedAtPrewarm) {
+  // Format v1 numbered the orderings natural / RCM / minimum degree, so a
+  // v1 entry keyed with ordering 1 holds an RCM permutation that would
+  // otherwise validate and seed an AMD session under today's key.
+  const Request request = solve_request(testing::paper_t1(), "v1");
+  ScopedTempDir source;
+  std::string name;
+  std::string bytes;
+  {
+    StructureCache cache(source.path);
+    EngineOptions options;
+    options.structure_cache = &cache;
+    Engine engine(options);
+    ASSERT_EQ(engine.run(request).status, ResponseStatus::kOk);
+    cache.flush();
+    ASSERT_EQ(cache.entries().size(), 1u);
+    name = StructureCache::file_name_for_key(cache.entries()[0].key);
+    bytes = read_file(source.path + "/" + name);
+  }
+  ASSERT_EQ(bytes.rfind("BBSCACHE v2 ", 0), 0u);
+  bytes.replace(9, 2, "v1");
+  ScopedTempDir old;
+  write_file(old.path + "/" + name, bytes);
+
+  StructureCache cache(old.path);
+  EXPECT_EQ(cache.load(), 0u);
+  EXPECT_EQ(cache.stats().load_errors, 1u);
+  EngineOptions options;
+  options.structure_cache = &cache;
+  Engine engine(options);
+  for (const CacheEntry& entry : cache.entries()) engine.prewarm_entry(entry);
+  EXPECT_EQ(engine.stats().prewarmed_sessions, 0u);
+  const Response response = engine.run(request);
+  ASSERT_EQ(response.status, ResponseStatus::kOk);
+  EXPECT_FALSE(response.diagnostics.session_reused);
+  EXPECT_EQ(response.diagnostics.symbolic_factorisations, 1);
 }
 
 // ---------------------------------------------------------------------------

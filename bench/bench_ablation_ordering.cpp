@@ -2,7 +2,7 @@
 // sparse LDL^T factorisation inside the interior-point solver.
 //
 // For growing chains and random DAGs, the harness reports the factor fill
-// (nnz of L) of the first normal-equation matrix and the end-to-end solve
+// (nnz of L) of the first KKT factorisation and the end-to-end solve
 // time per ordering. Approximate minimum degree (AMD) is the library
 // default; natural ordering is the baseline.
 #include <chrono>

@@ -10,9 +10,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -36,6 +38,7 @@
 #include "bbs/service/dispatcher.hpp"
 #include "bbs/service/endpoint.hpp"
 #include "bbs/service/socket_server.hpp"
+#include "bbs/solver/ipm_solver.hpp"
 #include "bbs/solver/kkt_system.hpp"
 #include "bbs/solver/nt_scaling.hpp"
 #include "bbs/telemetry/structure_cache.hpp"
@@ -566,6 +569,62 @@ BENCHMARK(BM_KktFactorise)
     ->Range(16, 64)
     ->Unit(benchmark::kMicrosecond)
     ->Complexity();
+
+/// One interior-point solve's KKT work on a random DAG program, reported per
+/// IPM iteration: the factorisations and the KKT solves of the last IPM run
+/// are replayed from its final iterate's scaling, and the counters carry the
+/// LDL^T solves per KKT solve (1 + refinement rounds) and per iteration,
+/// the dynamic regularisations, the dimension of K and the factor fill.
+void BM_KktSolve(benchmark::State& state) {
+  bbs::gen::GenParams params;
+  params.num_processors = 8;
+  params.seed = 13;
+  const bbs::core::BuiltProgram prog = bbs::core::build_algorithm1(
+      bbs::gen::make_random_dag(static_cast<bbs::linalg::Index>(state.range(0)),
+                                0.5, params));
+  const bbs::solver::ConicProblem& problem = prog.problem;
+
+  // The IPM's own counters: LDL^T solves per IPM iteration over one cold
+  // solve (three KKT solves per iteration).
+  bbs::solver::IpmWorkspace ws;
+  const bbs::solver::SolveResult result =
+      bbs::solver::IpmSolver().solve(problem, ws);
+  const bbs::solver::KktSystem::Stats& ipm_stats = ws.kkt()->stats();
+  state.counters["ldlt_solves_per_iteration"] =
+      static_cast<double>(ipm_stats.ldlt_solves) /
+      std::max(1, result.iterations);
+  state.counters["dynamic_regularisations"] =
+      static_cast<double>(ipm_stats.dynamic_regularisations);
+
+  // Timed: one factorisation plus three KKT solves (an IPM iteration's
+  // linear algebra) at the final iterate's scaling, the worst conditioned.
+  bbs::solver::NtScaling scaling(problem.cone());
+  scaling.update(result.s, result.z);
+  bbs::solver::KktSystem kkt(problem.g());
+  bbs::Rng rng(31);
+  bbs::linalg::Vector p(static_cast<std::size_t>(problem.num_vars()));
+  bbs::linalg::Vector q(static_cast<std::size_t>(problem.cone().dim()));
+  for (double& x : p) x = rng.next_real(-1.0, 1.0);
+  for (double& x : q) x = rng.next_real(-1.0, 1.0);
+  bbs::linalg::Vector u;
+  bbs::linalg::Vector v;
+  std::int64_t kkt_solves = 0;
+  for (auto _ : state) {
+    kkt.factorise(scaling);
+    for (int k = 0; k < 3; ++k) {
+      kkt.solve(scaling, p, q, u, v);
+      ++kkt_solves;
+    }
+    benchmark::DoNotOptimize(u.data());
+  }
+  state.counters["ldlt_solves_per_kkt_solve"] =
+      static_cast<double>(kkt.stats().ldlt_solves) /
+      static_cast<double>(std::max<std::int64_t>(1, kkt_solves));
+  state.counters["dim"] =
+      static_cast<double>(problem.num_vars() + problem.cone().dim());
+  state.counters["factor_nnz"] = static_cast<double>(kkt.factor_nnz());
+}
+BENCHMARK(BM_KktSolve)->Arg(32)->Arg(64)->Unit(benchmark::kMicrosecond);
 
 /// The fill-reducing ordering alone, on the normal-equation pattern
 /// G' S G of a chain's program (S block diagonal over the cone, dense

@@ -239,8 +239,9 @@ Index total_tasks_estimate(const CaseSpec& spec) {
   switch (spec.family) {
     case Family::kChain:
     case Family::kRing:
-    case Family::kRandomDag:
       return spec.size_a;
+    case Family::kRandomDag:
+      return std::max<Index>(2, spec.size_a);
     case Family::kSplitJoin:
       return spec.size_a * spec.size_b + 2;
     case Family::kMultiJob:
@@ -347,12 +348,18 @@ gen::GenParams effective_params(const CaseSpec& spec) {
   }
   if (spec.huge_interval) p.replenishment_interval = 2e4;
   // Over-subscription floor: the generators assert a positive fair budget
-  // share (rho - o - g*n)/n per processor. With rho >= o + 2*g*n + g the
-  // share is at least g*(n+1)/n > 0, so the adversarial "tiny interval"
-  // mutation sits exactly on this floor instead of crashing the generator.
+  // share (rho - o - g*n)/n per processor with n tasks. With
+  // rho >= o + 2*g*n + g the share is at least g*(n+1)/n > 0, so the
+  // adversarial "tiny interval" mutation sits exactly on this floor instead
+  // of crashing the generator. n is the worst-case load: the round-robin
+  // families spread the tasks evenly, but a random DAG draws each task's
+  // processor at random, so one processor may carry all of them.
   const Index total = total_tasks_estimate(spec);
-  const double max_load = std::ceil(static_cast<double>(total) /
-                                    static_cast<double>(p.num_processors));
+  const double max_load =
+      spec.family == Family::kRandomDag
+          ? static_cast<double>(total)
+          : std::ceil(static_cast<double>(total) /
+                      static_cast<double>(p.num_processors));
   const double g = static_cast<double>(p.granularity);
   const double floor_rho = p.scheduling_overhead + 2.0 * g * max_load + g;
   if (spec.tiny_interval) {

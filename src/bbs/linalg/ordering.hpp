@@ -1,7 +1,8 @@
 // Fill-reducing orderings for the sparse LDL^T factorisation.
 //
-// The normal-equation matrices produced by the interior-point solver inherit
-// the topology of the task graphs: long chains, hubs where a processor's
+// The KKT matrices of the interior-point solver (whose variable block, once
+// the cone rows are eliminated, has the normal-equation pattern) inherit the
+// topology of the task graphs: long chains, hubs where a processor's
 // budget row meets all of its tasks, and a few dense rows. Two methods are
 // provided:
 //   * Natural                  — identity permutation (the ablation baseline

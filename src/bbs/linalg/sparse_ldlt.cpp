@@ -10,14 +10,12 @@ namespace bbs::linalg {
 
 SparseLdlt::SparseLdlt(const SparseMatrix& a) : SparseLdlt(a, Options{}) {}
 
-SparseLdlt::SparseLdlt(const SparseMatrix& a, const Options& options)
-    : options_(options) {
-  // The stored copy is read only for min_pivot/allow_indefinite; the
-  // fixed_permutation pointee need not outlive the constructor, so drop the
-  // pointer rather than keep it dangling.
-  options_.fixed_permutation = nullptr;
+SparseLdlt::SparseLdlt(const SparseMatrix& a, const Options& options) {
   BBS_REQUIRE(a.rows() == a.cols(), "SparseLdlt: matrix must be square");
   n_ = a.rows();
+  BBS_REQUIRE(options.pivot_signs.empty() ||
+                  options.pivot_signs.size() == static_cast<std::size_t>(n_),
+              "SparseLdlt: pivot_signs must have one entry per row");
   if (options.fixed_permutation != nullptr) {
     BBS_REQUIRE(is_permutation(*options.fixed_permutation) &&
                     options.fixed_permutation->size() ==
@@ -31,6 +29,16 @@ SparseLdlt::SparseLdlt(const SparseMatrix& a, const Options& options)
   inv_perm_.resize(perm_.size());
   for (std::size_t i = 0; i < perm_.size(); ++i)
     inv_perm_[static_cast<std::size_t>(perm_[i])] = static_cast<Index>(i);
+  if (!options.pivot_signs.empty()) {
+    sign_.resize(perm_.size());
+    for (std::size_t i = 0; i < perm_.size(); ++i) {
+      const signed char sign =
+          options.pivot_signs[static_cast<std::size_t>(perm_[i])];
+      BBS_REQUIRE(sign == 1 || sign == -1,
+                  "SparseLdlt: pivot signs must be +1 or -1");
+      sign_[i] = sign;
+    }
+  }
 
   a_col_ptr_ = a.col_ptr();
   a_row_ind_ = a.row_ind();
@@ -98,7 +106,6 @@ SparseLdlt::SparseLdlt(const SparseMatrix& a, const Options& options)
   work_flag_.assign(static_cast<std::size_t>(n_), -1);
   work_next_.assign(static_cast<std::size_t>(n_), 0);
   work_xp_.assign(static_cast<std::size_t>(n_), 0.0);
-  work_r_.assign(static_cast<std::size_t>(n_), 0.0);
 
   scatter_values(a);
   numeric();
@@ -167,6 +174,7 @@ void SparseLdlt::numeric() {
   for (Index k = 0; k < n_; ++k)
     work_next_[static_cast<std::size_t>(k)] = lp_[static_cast<std::size_t>(k)];
   ++numeric_count_;
+  dynamic_regularisations_ = 0;
 
   std::vector<double>& y = work_y_;
   std::vector<Index>& pattern = work_pattern_;
@@ -215,14 +223,20 @@ void SparseLdlt::numeric() {
       ++lnz_next[static_cast<std::size_t>(i)];
     }
 
-    if (std::abs(dk) < options_.min_pivot) {
+    if (!std::isfinite(dk)) {
+      throw NumericalError("SparseLdlt: pivot " + std::to_string(k) +
+                           " is not finite");
+    }
+    if (!sign_.empty()) {
+      const double sign = sign_[static_cast<std::size_t>(k)];
+      if (sign * dk <= kDynamicThreshold) {
+        dk = sign * kDynamicRegularisation;
+        ++dynamic_regularisations_;
+      }
+    } else if (std::abs(dk) < kMinPivot) {
       throw NumericalError("SparseLdlt: pivot " + std::to_string(k) +
                            " below minimum magnitude (" + std::to_string(dk) +
                            ")");
-    }
-    if (dk < 0.0 && !options_.allow_indefinite) {
-      throw NumericalError("SparseLdlt: negative pivot " + std::to_string(k) +
-                           " for a matrix required to be positive definite");
     }
     d_[static_cast<std::size_t>(k)] = dk;
   }
@@ -269,30 +283,6 @@ void SparseLdlt::solve(Vector& b) const {
   for (Index i = 0; i < n_; ++i)
     b[static_cast<std::size_t>(perm_[static_cast<std::size_t>(i)])] =
         xp[static_cast<std::size_t>(i)];
-}
-
-Vector SparseLdlt::solve_refined(const SparseMatrix& a, const Vector& b,
-                                 int refine_steps) const {
-  Vector x;
-  solve_refined_into(a, b, refine_steps, x);
-  return x;
-}
-
-void SparseLdlt::solve_refined_into(const SparseMatrix& a, const Vector& b,
-                                    int refine_steps, Vector& x) const {
-  BBS_REQUIRE(&x != &b,
-              "SparseLdlt::solve_refined_into: x must not alias b (the "
-              "refinement residual is computed against the original b)");
-  x = b;
-  solve(x);
-  Vector& r = work_r_;
-  for (int it = 0; it < refine_steps; ++it) {
-    // r = b - A x; dx = A^{-1} r; x += dx.
-    r = b;
-    a.gaxpy(-1.0, x, r);
-    solve(r);
-    axpy(1.0, r, x);
-  }
 }
 
 int SparseLdlt::negative_pivots() const {

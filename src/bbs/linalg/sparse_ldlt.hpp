@@ -1,7 +1,7 @@
 // Sparse LDL^T factorisation of symmetric matrices, in the style of the
 // classic up-looking algorithm (elimination tree + column counts + sparse
 // triangular solves). This is the workhorse behind the interior-point
-// solver's normal-equation solves.
+// solver's quasi-definite KKT solves.
 //
 // The factorisation is split into a symbolic phase (fill-reducing
 // permutation — approximate minimum degree unless the caller fixes one —
@@ -29,12 +29,24 @@ namespace bbs::linalg {
 
 class SparseLdlt {
  public:
+  /// Without pivot signs, a pivot smaller in magnitude than this throws
+  /// NumericalError.
+  static constexpr double kMinPivot = 1e-14;
+  /// Dynamic regularisation with pivot signs: the threshold below which a
+  /// signed pivot is replaced, and the magnitude that replaces it.
+  static constexpr double kDynamicThreshold = 1e-13;
+  static constexpr double kDynamicRegularisation = 7e-8;
+
   struct Options {
     OrderingMethod ordering = OrderingMethod::kApproximateMinimumDegree;
-    /// Pivots smaller in magnitude than this throw NumericalError.
-    double min_pivot = 1e-14;
-    /// If false, a negative pivot throws (use for matrices that must be SPD).
-    bool allow_indefinite = true;
+    /// Expected sign (+1 or -1) of each pivot, indexed like the rows of the
+    /// input matrix (before permutation); empty disables. This is the
+    /// dynamic regularisation of ECOS for quasi-definite matrices: a pivot
+    /// d with sign * d <= kDynamicThreshold — wrong-signed or near zero
+    /// after roundoff — is replaced by sign * kDynamicRegularisation instead
+    /// of throwing, and counted. The factor is then that of a slightly
+    /// perturbed matrix, which the caller's refinement corrects for.
+    std::vector<signed char> pivot_signs;
     /// When non-null, this permutation (perm[new] = old) is used instead of
     /// computing one — callers that factorise a fixed sparsity pattern
     /// repeatedly (the interior-point method) compute the ordering once and
@@ -58,17 +70,6 @@ class SparseLdlt {
   /// Solves A x = b in place (applies the internal permutation).
   void solve(Vector& b) const;
 
-  /// Solves with `refine_steps` rounds of iterative refinement against the
-  /// original matrix, which must be the matrix passed to the constructor.
-  Vector solve_refined(const SparseMatrix& a, const Vector& b,
-                       int refine_steps = 2) const;
-
-  /// Allocation-free variant of solve_refined: writes the solution into `x`
-  /// (resized on first use) and reuses an internal residual workspace.
-  /// `x` must not alias `b`.
-  void solve_refined_into(const SparseMatrix& a, const Vector& b,
-                          int refine_steps, Vector& x) const;
-
   /// Number of nonzeros in the factor L (excluding the unit diagonal).
   Index factor_nnz() const { return static_cast<Index>(li_.size()); }
 
@@ -76,6 +77,10 @@ class SparseLdlt {
 
   /// Number of negative pivots (inertia check for quasi-definite systems).
   int negative_pivots() const;
+
+  /// Pivots replaced by the dynamic regularisation in the last numeric
+  /// pass (always 0 without pivot signs).
+  int dynamic_regularisations() const { return dynamic_regularisations_; }
 
   const std::vector<Index>& permutation() const { return perm_; }
 
@@ -100,7 +105,6 @@ class SparseLdlt {
   void numeric();
 
   Index n_ = 0;
-  Options options_;
   std::vector<Index> perm_;     // perm_[new] = old
   std::vector<Index> inv_perm_; // inv_perm_[old] = new
   std::vector<Index> parent_;   // elimination tree
@@ -108,6 +112,7 @@ class SparseLdlt {
   std::vector<Index> li_;       // row indices of L
   std::vector<double> lx_;      // values of L
   std::vector<double> d_;       // diagonal D
+  std::vector<signed char> sign_;  // expected pivot signs, permuted order
 
   // Pattern of the constructor matrix, kept to validate refactor() inputs.
   std::vector<Index> a_col_ptr_;
@@ -124,10 +129,10 @@ class SparseLdlt {
   std::vector<Index> work_pattern_;
   std::vector<Index> work_flag_;
   std::vector<Index> work_next_;
-  // Solve workspaces (mutable: solve() is logically const).
+  // Solve workspace (mutable: solve() is logically const).
   mutable Vector work_xp_;
-  mutable Vector work_r_;
   int numeric_count_ = 0;
+  int dynamic_regularisations_ = 0;
   // False while a numeric pass is incomplete (it updates lx_/d_ in place, so
   // a mid-pass throw leaves mixed old/new columns); solve() refuses then.
   bool factor_valid_ = false;

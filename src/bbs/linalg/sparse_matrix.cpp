@@ -233,82 +233,4 @@ double SparseMatrix::norm_max() const {
   return m;
 }
 
-CachedSpGemm::CachedSpGemm(const SparseMatrix& a, const SparseMatrix& b,
-                           bool include_diagonal) {
-  BBS_REQUIRE(a.cols() == b.rows(), "CachedSpGemm: shape mismatch");
-  BBS_REQUIRE(!include_diagonal || a.rows() == b.cols(),
-              "CachedSpGemm: include_diagonal requires a square product");
-  a_rows_ = a.rows();
-  a_cols_ = a.cols();
-  b_cols_ = b.cols();
-  a_col_ptr_ = a.col_ptr();
-  a_row_ind_ = a.row_ind();
-  b_col_ptr_ = b.col_ptr();
-  b_row_ind_ = b.row_ind();
-
-  // Symbolic pass: the structural pattern of C = A * B, ignoring values so
-  // the pattern is a superset of the numeric pattern for any value update.
-  std::vector<Index> col_ptr(static_cast<std::size_t>(b_cols_) + 1, 0);
-  std::vector<Index> row_ind;
-  std::vector<Index> mark(static_cast<std::size_t>(a_rows_), -1);
-  std::vector<Index> pattern;
-  pattern.reserve(static_cast<std::size_t>(a_rows_));
-  for (Index j = 0; j < b_cols_; ++j) {
-    pattern.clear();
-    for (Index kb = b.col_ptr()[j]; kb < b.col_ptr()[j + 1]; ++kb) {
-      const Index ca = b.row_ind()[kb];
-      for (Index ka = a.col_ptr()[ca]; ka < a.col_ptr()[ca + 1]; ++ka) {
-        const Index r = a.row_ind()[ka];
-        if (mark[static_cast<std::size_t>(r)] != j) {
-          mark[static_cast<std::size_t>(r)] = j;
-          pattern.push_back(r);
-        }
-      }
-    }
-    if (include_diagonal && mark[static_cast<std::size_t>(j)] != j) {
-      mark[static_cast<std::size_t>(j)] = j;
-      pattern.push_back(j);
-    }
-    std::sort(pattern.begin(), pattern.end());
-    row_ind.insert(row_ind.end(), pattern.begin(), pattern.end());
-    col_ptr[static_cast<std::size_t>(j) + 1] =
-        static_cast<Index>(row_ind.size());
-  }
-  c_ = SparseMatrix::from_pattern(a_rows_, b_cols_, std::move(col_ptr),
-                                  std::move(row_ind));
-  work_.assign(static_cast<std::size_t>(a_rows_), 0.0);
-  multiply(a, b);
-}
-
-const SparseMatrix& CachedSpGemm::multiply(const SparseMatrix& a,
-                                           const SparseMatrix& b) {
-  BBS_REQUIRE(a.rows() == a_rows_ && a.cols() == a_cols_ &&
-                  b.rows() == a_cols_ && b.cols() == b_cols_ &&
-                  a.col_ptr() == a_col_ptr_ && a.row_ind() == a_row_ind_ &&
-                  b.col_ptr() == b_col_ptr_ && b.row_ind() == b_row_ind_,
-              "CachedSpGemm::multiply: sparsity pattern differs from the "
-              "cached symbolic analysis");
-  const std::vector<Index>& cp = c_.col_ptr();
-  const std::vector<Index>& ci = c_.row_ind();
-  std::vector<double>& cv = c_.values();
-  for (Index j = 0; j < b_cols_; ++j) {
-    for (Index k = cp[j]; k < cp[j + 1]; ++k) {
-      work_[static_cast<std::size_t>(ci[k])] = 0.0;
-    }
-    for (Index kb = b.col_ptr()[j]; kb < b.col_ptr()[j + 1]; ++kb) {
-      const Index ca = b.row_ind()[kb];
-      const double bv = b.values()[kb];
-      if (bv == 0.0) continue;
-      for (Index ka = a.col_ptr()[ca]; ka < a.col_ptr()[ca + 1]; ++ka) {
-        work_[static_cast<std::size_t>(a.row_ind()[ka])] +=
-            a.values()[ka] * bv;
-      }
-    }
-    for (Index k = cp[j]; k < cp[j + 1]; ++k) {
-      cv[k] = work_[static_cast<std::size_t>(ci[k])];
-    }
-  }
-  return c_;
-}
-
 }  // namespace bbs::linalg

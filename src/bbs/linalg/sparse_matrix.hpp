@@ -51,7 +51,7 @@ class SparseMatrix {
 
   /// Builds a matrix from an explicit CSC pattern with all-zero values.
   /// Row indices must be in range, sorted and unique within each column.
-  /// Used by the cached-pattern kernels, which fill the values in place.
+  /// Used by the fixed-pattern KKT assembly, which fills the values in place.
   static SparseMatrix from_pattern(Index rows, Index cols,
                                    std::vector<Index> col_ptr,
                                    std::vector<Index> row_ind);
@@ -102,46 +102,6 @@ class SparseMatrix {
   std::vector<Index> col_ptr_;   // size cols_ + 1
   std::vector<Index> row_ind_;   // size nnz, sorted within each column
   std::vector<double> values_;   // size nnz
-};
-
-/// Sparse matrix product with a cached symbolic pattern.
-///
-/// The interior-point method rebuilds G' W^{-2} G on every iteration with an
-/// identical sparsity structure, so recomputing the output pattern (and
-/// reallocating the result) each time is pure overhead. This helper computes
-/// the structural pattern of C = A * B once — treating every stored entry as
-/// nonzero, so later value changes can never escape the cached pattern — and
-/// afterwards recomputes only the values, in place, with zero allocation per
-/// call.
-class CachedSpGemm {
- public:
-  CachedSpGemm() = default;
-
-  /// Computes the pattern of C = A * B and fills the initial values. With
-  /// `include_diagonal`, diagonal entries are added to the pattern even
-  /// where structurally absent (the KKT assembly adds regularisation there;
-  /// requires a square product).
-  CachedSpGemm(const SparseMatrix& a, const SparseMatrix& b,
-               bool include_diagonal = false);
-
-  /// Recomputes the values of C = A * B in place. The arguments must carry
-  /// exactly the sparsity patterns the cache was built from; a pattern
-  /// change throws ContractViolation.
-  const SparseMatrix& multiply(const SparseMatrix& a, const SparseMatrix& b);
-
-  const SparseMatrix& result() const { return c_; }
-
- private:
-  SparseMatrix c_;
-  std::vector<double> work_;  // dense column accumulator, size a.rows()
-  Index a_rows_ = 0;
-  Index a_cols_ = 0;
-  Index b_cols_ = 0;
-  // Input patterns from construction, for multiply() validation.
-  std::vector<Index> a_col_ptr_;
-  std::vector<Index> a_row_ind_;
-  std::vector<Index> b_col_ptr_;
-  std::vector<Index> b_row_ind_;
 };
 
 }  // namespace bbs::linalg

@@ -79,7 +79,9 @@ struct SolverOptions {
   int stall_iterations = 15;
   /// Fraction of the step to the cone boundary actually taken.
   double step_fraction = 0.99;
-  int refine_steps = 1;
+  /// Most rounds of iterative refinement per KKT solve (KktSystem).
+  int refine_steps = 6;
+  /// Static regularisation of the quasi-definite KKT matrix (KktSystem).
   double static_regularisation = 1e-12;
   linalg::OrderingMethod ordering =
       linalg::OrderingMethod::kApproximateMinimumDegree;
@@ -218,7 +220,7 @@ class IpmWorkspace {
   /// cache) for the KKT system this workspace will create on its first
   /// solve. Ignored if the KKT system already exists; validated — and
   /// rejected without error — inside KktSystem if it does not match the
-  /// actual normal-equation pattern.
+  /// actual KKT pattern.
   void seed_symbolic(SymbolicAnalysis analysis);
   /// Exports the KKT symbolic analysis after the first solve (nullopt
   /// before the workspace is bound).

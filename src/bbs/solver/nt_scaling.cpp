@@ -188,79 +188,86 @@ void NtScaling::apply_w_inv_into(const Vector& v, Vector& out) const {
   }
 }
 
-void NtScaling::inverse_squared_into(linalg::SparseMatrix& out) const {
+void NtScaling::inverse_times_into(const linalg::SparseMatrix& g,
+                                   linalg::SparseMatrix& out) const {
   const ConeSpec& cone = *cone_;
-  if (out.rows() == 0) {
-    // Build the fixed full block pattern once: one diagonal entry per LP
-    // coordinate, dense q x q blocks for the SOCs (explicit zeros kept).
-    linalg::TripletList t(cone.dim(), cone.dim());
-    for (Index i = 0; i < cone.nonneg(); ++i) t.add(i, i, 0.0);
-    for (std::size_t k = 0; k < cone.soc_dims().size(); ++k) {
-      const Index off = cone.soc_offset(k);
-      const Index q = cone.soc_dims()[k];
-      for (Index c = 0; c < q; ++c) {
-        for (Index r = 0; r < q; ++r) t.add(off + r, off + c, 0.0);
-      }
-    }
-    out = linalg::SparseMatrix::from_triplets(t);
-  }
-  // Validate the full fixed layout, not just the entry count: the value
-  // writes below index through col_ptr assuming one diagonal entry per LP
-  // column and dense contiguous SOC blocks.
-  const auto pattern_ok = [&]() {
-    if (out.rows() != cone.dim() || out.cols() != cone.dim()) return false;
-    for (Index i = 0; i < cone.nonneg(); ++i) {
-      if (out.col_ptr()[i + 1] - out.col_ptr()[i] != 1 ||
-          out.row_ind()[out.col_ptr()[i]] != i) {
-        return false;
-      }
-    }
-    for (std::size_t k = 0; k < cone.soc_dims().size(); ++k) {
-      const Index off = cone.soc_offset(k);
-      const Index q = cone.soc_dims()[k];
-      for (Index c = 0; c < q; ++c) {
-        const Index base = out.col_ptr()[off + c];
-        if (out.col_ptr()[off + c + 1] - base != q) return false;
-        for (Index r = 0; r < q; ++r) {
-          if (out.row_ind()[base + r] != off + r) return false;
+  BBS_REQUIRE(g.rows() == cone.dim(),
+              "NtScaling::inverse_times_into: G has the wrong row count");
+  const Index nonneg = cone.nonneg();
+  if (out.rows() == 0 && out.cols() == 0) {
+    // Build the fixed pattern once. Rows are sorted within each column of
+    // G, so a column visits the LP rows first and each SOC block as one
+    // contiguous run, which becomes the block's full row range.
+    std::vector<Index> col_ptr(static_cast<std::size_t>(g.cols()) + 1, 0);
+    std::vector<Index> row_ind;
+    for (Index j = 0; j < g.cols(); ++j) {
+      std::size_t k = 0;
+      Index block_end = -1;  // rows up to here are already emitted
+      for (Index p = g.col_ptr()[j]; p < g.col_ptr()[j + 1]; ++p) {
+        const Index r = g.row_ind()[p];
+        if (r < nonneg) {
+          row_ind.push_back(r);
+          continue;
         }
+        if (r < block_end) continue;
+        while (cone.soc_offset(k) + cone.soc_dims()[k] <= r) ++k;
+        const Index off = cone.soc_offset(k);
+        block_end = off + cone.soc_dims()[k];
+        for (Index t = off; t < block_end; ++t) row_ind.push_back(t);
       }
+      col_ptr[static_cast<std::size_t>(j) + 1] =
+          static_cast<Index>(row_ind.size());
     }
-    return true;
+    out = linalg::SparseMatrix::from_pattern(cone.dim(), g.cols(),
+                                             std::move(col_ptr),
+                                             std::move(row_ind));
+  }
+  BBS_REQUIRE(out.rows() == g.rows() && out.cols() == g.cols(),
+              "NtScaling::inverse_times_into: shape mismatch");
+
+  // One merged walk per column: the output slots are written in storage
+  // order, and each written row is checked against the fixed pattern.
+  const std::vector<Index>& oi = out.row_ind();
+  std::vector<double>& ov = out.values();
+  const auto mismatch = [] {
+    throw ContractViolation(
+        "NtScaling::inverse_times_into: matrix does not carry the fixed "
+        "W^{-1} G pattern");
   };
-  BBS_REQUIRE(pattern_ok(),
-              "NtScaling::inverse_squared_into: matrix does not carry the "
-              "fixed W^{-2} block pattern");
-
-  std::vector<double>& vals = out.values();
-  for (Index i = 0; i < cone.nonneg(); ++i) {
-    const double w = w_lp_[static_cast<std::size_t>(i)];
-    vals[static_cast<std::size_t>(out.col_ptr()[i])] = 1.0 / (w * w);
-  }
-  for (std::size_t k = 0; k < cone.soc_dims().size(); ++k) {
-    const Index off = cone.soc_offset(k);
-    const Index q = cone.soc_dims()[k];
-    const linalg::DenseMatrix& winv = w_inv_soc_[k];
-    // Column off+c of the block holds rows off..off+q-1 contiguously;
-    // (W^{-2})_rc = sum_t W^{-1}_rt W^{-1}_tc, computed without a temporary.
-    for (Index c = 0; c < q; ++c) {
-      const Index base = out.col_ptr()[off + c];
-      for (Index r = 0; r < q; ++r) {
+  for (Index j = 0; j < g.cols(); ++j) {
+    Index slot = out.col_ptr()[j];
+    const Index slot_end = out.col_ptr()[j + 1];
+    std::size_t k = 0;
+    Index p = g.col_ptr()[j];
+    const Index p_end = g.col_ptr()[j + 1];
+    while (p < p_end) {
+      const Index r = g.row_ind()[p];
+      if (r < nonneg) {
+        if (slot >= slot_end || oi[slot] != r) mismatch();
+        ov[slot++] = g.values()[p] / w_lp_[static_cast<std::size_t>(r)];
+        ++p;
+        continue;
+      }
+      while (cone.soc_offset(k) + cone.soc_dims()[k] <= r) ++k;
+      const Index off = cone.soc_offset(k);
+      const Index q = cone.soc_dims()[k];
+      const Index run_begin = p;
+      while (p < p_end && g.row_ind()[p] < off + q) ++p;
+      if (slot + q > slot_end) mismatch();
+      const linalg::DenseMatrix& winv = w_inv_soc_[k];
+      for (Index i = 0; i < q; ++i) {
+        if (oi[slot] != off + i) mismatch();
         double acc = 0.0;
-        for (Index t = 0; t < q; ++t) {
-          acc += winv(static_cast<std::size_t>(r), static_cast<std::size_t>(t)) *
-                 winv(static_cast<std::size_t>(t), static_cast<std::size_t>(c));
+        for (Index t = run_begin; t < p; ++t) {
+          acc += winv(static_cast<std::size_t>(i),
+                      static_cast<std::size_t>(g.row_ind()[t] - off)) *
+                 g.values()[t];
         }
-        vals[static_cast<std::size_t>(base + r)] = acc;
+        ov[slot++] = acc;
       }
     }
+    if (slot != slot_end) mismatch();
   }
-}
-
-linalg::SparseMatrix NtScaling::inverse_squared() const {
-  linalg::SparseMatrix out;
-  inverse_squared_into(out);
-  return out;
 }
 
 }  // namespace bbs::solver

@@ -10,7 +10,7 @@
 // The interior-point method only needs:
 //   * lambda = W z,
 //   * application of W and W^{-1} to vectors (W is symmetric),
-//   * the block-diagonal matrix (W'W)^{-1} = W^{-2} for the KKT assembly.
+//   * the product W^{-1} G for the KKT assembly.
 #pragma once
 
 #include <vector>
@@ -43,16 +43,15 @@ class NtScaling {
   void apply_w_into(const Vector& v, Vector& out) const;
   void apply_w_inv_into(const Vector& v, Vector& out) const;
 
-  /// Block-diagonal sparse matrix W^{-2} = (W'W)^{-1}, used to assemble the
-  /// normal equations G' W^{-2} G.
-  linalg::SparseMatrix inverse_squared() const;
-
-  /// Writes W^{-2} into `out` on the *fixed* full block pattern (diagonal of
-  /// the LP block plus dense SOC blocks, explicit zeros kept so the pattern
-  /// is iteration-invariant). An empty `out` is built from scratch; later
-  /// calls update the values in place with no allocation. The fixed pattern
-  /// is what lets the KKT system cache its normal-equation structure.
-  void inverse_squared_into(linalg::SparseMatrix& out) const;
+  /// Writes W^{-1} G into `out` on a *fixed* pattern: the rows of G in the
+  /// LP block keep G's pattern, and every row of a SOC block carries the
+  /// union of that block's row patterns (W^{-1} is dense on the block;
+  /// explicit zeros are kept). An empty `out` is built from scratch; later
+  /// calls update the values in place with no allocation, and throw
+  /// ContractViolation if `out` does not carry the pattern for `g`. The
+  /// fixed pattern is what lets the KKT system cache its structure.
+  void inverse_times_into(const linalg::SparseMatrix& g,
+                          linalg::SparseMatrix& out) const;
 
  private:
   const ConeSpec* cone_;

@@ -14,10 +14,12 @@ namespace bbs::telemetry {
 namespace {
 
 constexpr const char* kMagic = "BBSCACHE";
-// v2: OrderingMethod was renumbered (natural, AMD) when RCM and the
-// clique minimum degree were deleted; v1 entries key and hold permutations
-// of the old numbering.
-constexpr const char* kVersion = "v2";
+// v3: the symbolic analysis is of the quasi-definite augmented KKT matrix
+// (cone rows first), no longer of the normal equations. v2 entries hold
+// permutations of the normal-equation pattern; v1 entries key the orderings
+// by the numbering from before RCM and the clique minimum degree were
+// deleted.
+constexpr const char* kVersion = "v3";
 
 std::string hex64(std::uint64_t value) {
   char buffer[17];

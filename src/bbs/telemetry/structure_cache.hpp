@@ -10,7 +10,7 @@
 //
 // On-disk format (one file per entry, named <fnv1a64(key) hex>.bbsc):
 //
-//     BBSCACHE v2 <fnv1a64(payload) hex> <payload byte count>\n
+//     BBSCACHE v3 <fnv1a64(payload) hex> <payload byte count>\n
 //     <payload: one compact JSON document>
 //
 // Files are written to a temp name and renamed into place, so a crash never

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -222,6 +224,28 @@ TEST(FuzzReproducer, CheckedInCorpusReplaysClean) {
     ++replayed;
   }
   EXPECT_GE(replayed, 1u);
+}
+
+TEST(FuzzReproducer, CheckedInCorpusSpecsRegenerate) {
+  // The replay above runs each file's stored request; this regenerates the
+  // request from the stored case spec, so a case whose configuration the
+  // generators could not build (fuzz-5-285: a tiny replenishment interval
+  // below a random DAG's worst-case processor load) stays covered.
+  const std::filesystem::path corpus = BBS_TEST_CORPUS_DIR;
+  std::size_t regenerated = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(corpus)) {
+    if (entry.path().extension() != ".json") continue;
+    std::ifstream in(entry.path());
+    std::ostringstream text;
+    text << in.rdbuf();
+    const io::JsonValue doc = io::parse_json(text.str());
+    const CaseSpec spec =
+        case_spec_from_json_value(doc.as_object().at("case"));
+    EXPECT_NO_THROW(build_configuration(spec).validate())
+        << entry.path().filename().string();
+    ++regenerated;
+  }
+  EXPECT_GE(regenerated, 1u);
 }
 
 // ---------------------------------------------------------------------------

@@ -316,8 +316,10 @@ std::vector<Pattern> normal_equation_patterns() {
 SparseLdlt factor_with(const SparseMatrix& a, const std::vector<Index>& perm) {
   SparseLdlt::Options options;
   options.fixed_permutation = &perm;
-  options.allow_indefinite = false;
-  return SparseLdlt(a, options);
+  SparseLdlt f(a, options);
+  // The normal equations are SPD: every pivot must come out positive.
+  EXPECT_EQ(f.negative_pivots(), 0);
+  return f;
 }
 
 /// The whole differential check on one matrix for one ordering.
@@ -391,13 +393,52 @@ Index kkt_factor_nnz(const model::Configuration& config) {
   return kkt.factor_nnz();
 }
 
+/// AMD fill of the normal-equation pattern G' S G of a configuration: the
+/// matrix the clique-forming minimum degree was measured on.
+Index normal_amd_nnz(const model::Configuration& config) {
+  const SparseMatrix a = normal_equations(config);
+  return factor_with(a, compute_ordering(
+                            a, OrderingMethod::kApproximateMinimumDegree))
+      .factor_nnz();
+}
+
 TEST(Amd, FillStaysWithinFivePercentOfCliqueMinimumDegree) {
   // Factor fill of the clique-forming minimum-degree ordering that AMD
   // replaced, measured on these exact instances before it was deleted.
-  EXPECT_LE(kkt_factor_nnz(gen::make_chain(128, bench_params())), 9330 * 1.05);
-  EXPECT_LE(kkt_factor_nnz(gen::make_random_dag(64, 0.5, bench_params())),
+  EXPECT_LE(normal_amd_nnz(gen::make_chain(128, bench_params())), 9330 * 1.05);
+  EXPECT_LE(normal_amd_nnz(gen::make_random_dag(64, 0.5, bench_params())),
             3835 * 1.05);
-  EXPECT_LE(kkt_factor_nnz(gen::car_entertainment_preset()), 118 * 1.05);
+  EXPECT_LE(normal_amd_nnz(gen::car_entertainment_preset()), 118 * 1.05);
+}
+
+/// Entries of W^{-1} G on its fixed pattern: one factor column per cone row.
+Index scaled_g_nnz(const model::Configuration& config) {
+  const core::BuiltProgram program = core::build_algorithm1(config);
+  solver::NtScaling scaling(program.problem.cone());
+  Vector e(static_cast<std::size_t>(program.problem.cone().dim()));
+  program.problem.cone().identity(e);
+  scaling.update(e, e);
+  SparseMatrix winv_g;
+  scaling.inverse_times_into(program.problem.g(), winv_g);
+  return winv_g.nnz();
+}
+
+TEST(Amd, AugmentedKktFillIsPinned) {
+  // The quasi-definite KKT factor eliminates the cone rows first: its fill
+  // is one column per cone row (the row's entries of W^{-1} G) plus the
+  // AMD-ordered normal-equation block. Pinned at the values measured when
+  // it landed.
+  const model::Configuration chain = gen::make_chain(128, bench_params());
+  const model::Configuration dag =
+      gen::make_random_dag(64, 0.5, bench_params());
+  const model::Configuration car = gen::car_entertainment_preset();
+  EXPECT_LE(kkt_factor_nnz(chain), 11525);
+  EXPECT_LE(kkt_factor_nnz(dag), 5268);
+  EXPECT_LE(kkt_factor_nnz(car), 230);
+  for (const model::Configuration* config : {&chain, &dag, &car}) {
+    EXPECT_EQ(kkt_factor_nnz(*config),
+              normal_amd_nnz(*config) + scaled_g_nnz(*config));
+  }
 }
 
 }  // namespace

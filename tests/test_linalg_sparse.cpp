@@ -181,9 +181,19 @@ TEST(SparseLdlt, RefinementReducesResidual) {
   for (auto& v : b) v = rng.next_real(-1.0, 1.0);
 
   SparseLdlt f(a);
-  const Vector x = f.solve_refined(a, b, 3);
+  Vector x = b;
+  f.solve(x);
   Vector r = b;
   a.gaxpy(-1.0, x, r);
+  const double first = norm_inf(r);
+  for (int round = 0; round < 3; ++round) {
+    // r = b - A x; dx = A^{-1} r; x += dx.
+    f.solve(r);
+    axpy(1.0, r, x);
+    r = b;
+    a.gaxpy(-1.0, x, r);
+  }
+  EXPECT_LE(norm_inf(r), first);
   EXPECT_LT(norm_inf(r), 1e-10);
 }
 
@@ -195,10 +205,6 @@ TEST(SparseLdlt, IndefiniteDiagonalAllowedWhenRequested) {
   const SparseMatrix a = SparseMatrix::from_triplets(t);
   SparseLdlt f(a);
   EXPECT_EQ(f.negative_pivots(), 1);
-
-  SparseLdlt::Options opts;
-  opts.allow_indefinite = false;
-  EXPECT_THROW((SparseLdlt{a, opts}), NumericalError);
 }
 
 TEST(SparseLdlt, SingularThrows) {
@@ -209,79 +215,6 @@ TEST(SparseLdlt, SingularThrows) {
   t.add(1, 1, 1.0);
   const SparseMatrix a = SparseMatrix::from_triplets(t);
   EXPECT_THROW(SparseLdlt{a}, NumericalError);
-}
-
-TEST(SparseMatrix, CachedSpGemmMatchesFreshProduct) {
-  Rng rng(67);
-  for (int trial = 0; trial < 10; ++trial) {
-    const Index m = static_cast<Index>(rng.next_int(2, 10));
-    const Index k = static_cast<Index>(rng.next_int(2, 10));
-    const Index n = static_cast<Index>(rng.next_int(2, 10));
-    TripletList ta(m, k);
-    TripletList tb(k, n);
-    for (int e = 0; e < 25; ++e) {
-      ta.add(static_cast<Index>(rng.next_int(0, m - 1)),
-             static_cast<Index>(rng.next_int(0, k - 1)),
-             rng.next_real(-2.0, 2.0));
-      tb.add(static_cast<Index>(rng.next_int(0, k - 1)),
-             static_cast<Index>(rng.next_int(0, n - 1)),
-             rng.next_real(-2.0, 2.0));
-    }
-    SparseMatrix a = SparseMatrix::from_triplets(ta);
-    SparseMatrix b = SparseMatrix::from_triplets(tb);
-    CachedSpGemm cached(a, b);
-
-    // Change values (pattern untouched) and recompute in place: the result
-    // must match a from-scratch product entry for entry.
-    for (double& v : a.values()) v = rng.next_real(-2.0, 2.0);
-    for (double& v : b.values()) v = rng.next_real(-2.0, 2.0);
-    cached.multiply(a, b);
-    const DenseMatrix ref = a.multiply(b).to_dense();
-    const DenseMatrix got = cached.result().to_dense();
-    for (std::size_t i = 0; i < static_cast<std::size_t>(m); ++i) {
-      for (std::size_t j = 0; j < static_cast<std::size_t>(n); ++j) {
-        EXPECT_NEAR(got(i, j), ref(i, j), 1e-12);
-      }
-    }
-  }
-}
-
-TEST(SparseMatrix, CachedSpGemmRejectsPatternChange) {
-  const SparseMatrix a = small_matrix();
-  CachedSpGemm cached(a, a);
-  TripletList t(3, 3);
-  t.add(0, 0, 1.0);  // fewer entries than small_matrix
-  const SparseMatrix changed = SparseMatrix::from_triplets(t);
-  EXPECT_THROW(cached.multiply(a, changed), ContractViolation);
-  EXPECT_THROW(cached.multiply(changed, a), ContractViolation);
-
-  // Same shape and nnz, different pattern: must also be rejected.
-  TripletList t2(3, 3);
-  t2.add(0, 1, 1.0);
-  t2.add(1, 0, 1.0);
-  t2.add(1, 1, 1.0);
-  t2.add(1, 2, 1.0);
-  t2.add(2, 1, 1.0);
-  const SparseMatrix moved = SparseMatrix::from_triplets(t2);
-  ASSERT_EQ(moved.nnz(), a.nnz());
-  EXPECT_THROW(cached.multiply(a, moved), ContractViolation);
-  EXPECT_THROW(cached.multiply(moved, a), ContractViolation);
-}
-
-TEST(SparseMatrix, CachedSpGemmIncludeDiagonalKeepsRegularisationSlots) {
-  // Product with a structurally empty diagonal: include_diagonal must add
-  // explicit zero slots there, so regularisation never changes the pattern.
-  TripletList t(2, 2);
-  t.add(1, 0, 1.0);
-  t.add(0, 1, 1.0);
-  const SparseMatrix offdiag = SparseMatrix::from_triplets(t);
-  const SparseMatrix ident = SparseMatrix::identity(2);
-  const CachedSpGemm without(offdiag, ident);
-  EXPECT_EQ(without.result().nnz(), 2);
-  const CachedSpGemm with(offdiag, ident, /*include_diagonal=*/true);
-  EXPECT_EQ(with.result().nnz(), 4);
-  EXPECT_DOUBLE_EQ(with.result().to_dense()(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ(with.result().to_dense()(0, 1), 1.0);
 }
 
 /// Same pattern as `a`, different values, still symmetric and SPD: scales

@@ -1,6 +1,6 @@
 // Tests for the Nesterov–Todd scaling: the defining identities
 // W z = W^{-1} s = lambda, W W^{-1} = I, and the consistency of the
-// block-diagonal W^{-2} with repeated applications of W^{-1}.
+// fixed-pattern product W^{-1} G with applications of W^{-1}.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +11,19 @@
 
 namespace bbs::solver {
 namespace {
+
+/// A random sparse G with one row per cone coordinate and a few columns
+/// that touch only part of each SOC block (some not at all).
+linalg::SparseMatrix random_g(const ConeSpec& cone, Rng& rng) {
+  const linalg::Index cols = 5;
+  linalg::TripletList t(cone.dim(), cols);
+  for (int e = 0; e < 2 * cone.dim(); ++e) {
+    t.add(static_cast<linalg::Index>(rng.next_int(0, cone.dim() - 1)),
+          static_cast<linalg::Index>(rng.next_int(0, cols - 1)),
+          rng.next_real(-2.0, 2.0));
+  }
+  return linalg::SparseMatrix::from_triplets(t);
+}
 
 
 class NtScalingRandom : public ::testing::TestWithParam<int> {};
@@ -44,51 +57,61 @@ TEST_P(NtScalingRandom, DefiningIdentitiesHold) {
       EXPECT_NEAR(round_trip[i], v[i], 1e-9);
     }
 
-    // The sparse W^{-2} equals applying W^{-1} twice.
-    const linalg::SparseMatrix w2inv = scaling.inverse_squared();
-    const Vector a = w2inv.multiply(v);
-    const Vector b = scaling.apply_w_inv(scaling.apply_w_inv(v));
+    // The sparse W^{-1} G equals applying W^{-1} to G x.
+    const linalg::SparseMatrix g = random_g(cone, rng);
+    linalg::SparseMatrix winv_g;
+    scaling.inverse_times_into(g, winv_g);
+    Vector x(static_cast<std::size_t>(g.cols()));
+    for (auto& xi : x) xi = rng.next_real(-2.0, 2.0);
+    const Vector a = winv_g.multiply(x);
+    const Vector b = scaling.apply_w_inv(g.multiply(x));
     for (std::size_t i = 0; i < v.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, NtScalingRandom, ::testing::Values(1, 2, 3));
 
-TEST(NtScaling, InverseSquaredIntoReusesFixedPattern) {
+TEST(NtScaling, InverseTimesIntoReusesFixedPattern) {
   const ConeSpec cone(3, {3});
   Rng rng(9);
   NtScaling scaling(cone);
   scaling.update(random_interior_point(cone, rng),
                  random_interior_point(cone, rng));
+  const linalg::SparseMatrix g = random_g(cone, rng);
 
-  linalg::SparseMatrix w2inv;
-  scaling.inverse_squared_into(w2inv);  // builds the fixed pattern
-  const linalg::Index nnz_first = w2inv.nnz();
+  linalg::SparseMatrix winv_g;
+  scaling.inverse_times_into(g, winv_g);  // builds the fixed pattern
+  const linalg::SparseMatrix first = winv_g;
 
   scaling.update(random_interior_point(cone, rng),
                  random_interior_point(cone, rng));
-  scaling.inverse_squared_into(w2inv);  // in-place value update
-  EXPECT_EQ(w2inv.nnz(), nnz_first);
+  scaling.inverse_times_into(g, winv_g);  // in-place value update
+  EXPECT_EQ(winv_g.col_ptr(), first.col_ptr());
+  EXPECT_EQ(winv_g.row_ind(), first.row_ind());
 
-  // Values must match repeated W^{-1} application.
-  const Vector v = random_interior_point(cone, rng);
-  const Vector a = w2inv.multiply(v);
-  const Vector b = scaling.apply_w_inv(scaling.apply_w_inv(v));
-  for (std::size_t i = 0; i < v.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9);
+  // Values must match W^{-1} applied to each column of G.
+  for (linalg::Index j = 0; j < g.cols(); ++j) {
+    Vector e(static_cast<std::size_t>(g.cols()), 0.0);
+    e[static_cast<std::size_t>(j)] = 1.0;
+    const Vector a = winv_g.multiply(e);
+    const Vector b = scaling.apply_w_inv(g.multiply(e));
+    for (std::size_t i = 0; i < a.size(); ++i) EXPECT_NEAR(a[i], b[i], 1e-9);
+  }
 }
 
-TEST(NtScaling, InverseSquaredIntoRejectsForeignPattern) {
+TEST(NtScaling, InverseTimesIntoRejectsForeignPattern) {
   const ConeSpec cone(4, {});
   Rng rng(11);
   NtScaling scaling(cone);
   scaling.update(random_interior_point(cone, rng),
                  random_interior_point(cone, rng));
+  const linalg::SparseMatrix g = linalg::SparseMatrix::identity(4);
 
-  // Right dimension and entry count, wrong layout (all entries in column 0).
+  // Right shape and entry count, wrong layout (all entries in column 0).
   linalg::TripletList t(4, 4);
   for (linalg::Index r = 0; r < 4; ++r) t.add(r, 0, 1.0);
   linalg::SparseMatrix wrong = linalg::SparseMatrix::from_triplets(t);
-  EXPECT_THROW(scaling.inverse_squared_into(wrong), ContractViolation);
+  EXPECT_THROW(scaling.inverse_times_into(g, wrong), ContractViolation);
 }
 
 TEST(NtScaling, LpBlockIsGeometricMeanScaling) {

@@ -585,9 +585,9 @@ TEST(TelemetryCache, CorruptStaleAndMisnamedEntriesAreSkippedAndCounted) {
   std::string flipped = valid_bytes;
   flipped.back() = flipped.back() == '}' ? ']' : '}';
   write_file(broken.path + "/00000000000000aa.bbsc", flipped);
-  // (3) Stale format version (the header's "v2" bumped to "v9").
+  // (3) Stale format version (the header's "v3" bumped to "v9").
   std::string stale = valid_bytes;
-  ASSERT_EQ(stale.rfind("BBSCACHE v2 ", 0), 0u);
+  ASSERT_EQ(stale.rfind("BBSCACHE v3 ", 0), 0u);
   stale.replace(9, 2, "v9");
   write_file(broken.path + "/00000000000000bb.bbsc", stale);
   // (4) Valid bytes under a name the entry's key does not hash to.
@@ -603,11 +603,11 @@ TEST(TelemetryCache, CorruptStaleAndMisnamedEntriesAreSkippedAndCounted) {
   EXPECT_EQ(stats.load_errors, 4u);
 }
 
-TEST(TelemetryCache, FormatV1FilesAreRejectedAtPrewarm) {
-  // Format v1 numbered the orderings natural / RCM / minimum degree, so a
-  // v1 entry keyed with ordering 1 holds an RCM permutation that would
-  // otherwise validate and seed an AMD session under today's key.
-  const Request request = solve_request(testing::paper_t1(), "v1");
+/// Writes T1's cache entry with its header version rewritten to `version`
+/// and checks that it is rejected at load: nothing is prewarmed and the
+/// request derives its symbolic analysis afresh.
+void expect_format_rejected_at_prewarm(const std::string& version) {
+  const Request request = solve_request(testing::paper_t1(), version);
   ScopedTempDir source;
   std::string name;
   std::string bytes;
@@ -622,8 +622,8 @@ TEST(TelemetryCache, FormatV1FilesAreRejectedAtPrewarm) {
     name = StructureCache::file_name_for_key(cache.entries()[0].key);
     bytes = read_file(source.path + "/" + name);
   }
-  ASSERT_EQ(bytes.rfind("BBSCACHE v2 ", 0), 0u);
-  bytes.replace(9, 2, "v1");
+  ASSERT_EQ(bytes.rfind("BBSCACHE v3 ", 0), 0u);
+  bytes.replace(9, 2, version);
   ScopedTempDir old;
   write_file(old.path + "/" + name, bytes);
 
@@ -639,6 +639,20 @@ TEST(TelemetryCache, FormatV1FilesAreRejectedAtPrewarm) {
   ASSERT_EQ(response.status, ResponseStatus::kOk);
   EXPECT_FALSE(response.diagnostics.session_reused);
   EXPECT_EQ(response.diagnostics.symbolic_factorisations, 1);
+}
+
+TEST(TelemetryCache, FormatV1FilesAreRejectedAtPrewarm) {
+  // Format v1 numbered the orderings natural / RCM / minimum degree, so a
+  // v1 entry keyed with ordering 1 holds an RCM permutation that would
+  // otherwise validate and seed an AMD session under today's key.
+  expect_format_rejected_at_prewarm("v1");
+}
+
+TEST(TelemetryCache, FormatV2FilesAreRejectedAtPrewarm) {
+  // Format v2 held the analysis of the normal equations G' W^-2 G, a
+  // permutation of the variables only; the KKT matrix now orders the cone
+  // rows and the variables together.
+  expect_format_rejected_at_prewarm("v2");
 }
 
 // ---------------------------------------------------------------------------
